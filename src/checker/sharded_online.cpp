@@ -1,13 +1,13 @@
-// See sharded_online.hpp. Threading model in one paragraph: ONE submitter
-// (stage 1) pushes epoch tasks into per-shard bounded rings; each shard
-// worker pops, decodes, and pushes a ShardResult into the shared result
-// ring; the merge thread buffers results per epoch, and once all shards have
-// reported an epoch it appends the reassembled batch to the authoritative
-// OnlineChecker strictly in epoch order. Every cross-thread handoff goes
-// through a ring (release on push, acquire on pop), so no other
+// See sharded_online.hpp. Threading model of the threaded executor in one
+// paragraph: ONE submitter (stage 1) pushes epoch tasks into per-shard
+// bounded rings; each shard worker pops, decodes, and pushes a ShardResult
+// into the shared result ring; the merge thread buffers results per epoch,
+// and once all shards have reported an epoch it reassembles the batch and
+// hands it to process_epoch strictly in epoch order. Every cross-thread
+// handoff goes through a ring (release on push, acquire on pop), so no other
 // synchronization is needed for the task/result payloads; `stopped_` is the
 // only shared flag, and `result_` is merge-thread-private until finish()
-// joins.
+// joins. The inline executor runs the same process_epoch from submit().
 #include "checker/sharded_online.hpp"
 
 #include <algorithm>
@@ -20,12 +20,6 @@ namespace crooks::checker {
 
 namespace {
 
-/// Result-ring capacity: every shard can have all its in-flight epochs plus
-/// its stop marker queued before the merge thread drains any of them.
-std::size_t result_capacity(const ShardedOnlineChecker::Options& o) {
-  return std::max<std::size_t>(1, o.shards) * (o.max_inflight_epochs + 1);
-}
-
 obs::Labels shard_labels(std::size_t shard) {
   return {{"shard", std::to_string(shard)}};
 }
@@ -33,32 +27,32 @@ obs::Labels shard_labels(std::size_t shard) {
 }  // namespace
 
 ShardedOnlineChecker::ShardedOnlineChecker(Options opts, EpochCallback on_epoch)
-    : opts_(std::move(opts)),
-      on_epoch_(std::move(on_epoch)),
-      chk_(opts_.track_assigned
-               ? OnlineChecker(OnlineChecker::kTrackAssigned,
-                               opts_.assigned_fallback)
-               : OnlineChecker(opts_.levels)),
-      results_(result_capacity(opts_)),
-      epochs_counter_(obs::Registry::global().counter(
-          "crooks_ingest_epochs_total",
-          "Epochs appended by the pipelined ingest's merge stage")),
-      merge_stalls_counter_(obs::Registry::global().counter(
-          "crooks_ingest_merge_stalls_total",
-          "Times the merge stage found its result ring empty and parked")),
-      dropped_counter_(obs::Registry::global().counter(
-          "crooks_ingest_ring_dropped_total",
-          "Blocks or results lost in an ingest ring (tripwire: must be 0; "
-          "full rings block the producer instead of dropping)")),
-      merge_depth_gauge_(obs::Registry::global().gauge(
-          "crooks_ingest_merge_queue_depth",
-          "Shard results waiting in the merge stage's ring")) {
-  if (opts_.shards == 0) opts_.shards = 1;
-  if (opts_.max_inflight_epochs == 0) opts_.max_inflight_epochs = 1;
+    : opts_(std::move(opts)), on_epoch_(std::move(on_epoch)), chk_(opts_.levels) {
   chk_.set_window(opts_.window);
   if (opts_.on_checker) opts_.on_checker(chk_);
+  if (opts_.shards != 0) start_threads();
+}
 
+ShardedOnlineChecker::~ShardedOnlineChecker() { finish(); }
+
+void ShardedOnlineChecker::start_threads() {
+  if (opts_.max_inflight_epochs == 0) opts_.max_inflight_epochs = 1;
   obs::Registry& reg = obs::Registry::global();
+  merge_metrics_.emplace(MergeMetrics{
+      reg.counter("crooks_ingest_epochs_total",
+                  "Epochs appended by the pipelined ingest's merge stage"),
+      reg.counter("crooks_ingest_merge_stalls_total",
+                  "Times the merge stage found its result ring empty and parked"),
+      reg.gauge("crooks_ingest_merge_queue_depth",
+                "Shard results waiting in the merge stage's ring")});
+  // Registered so scrapes show it at 0; nothing increments it.
+  reg.counter("crooks_ingest_ring_dropped_total",
+              "Blocks or results lost in an ingest ring (tripwire: must be "
+              "0; full rings block the producer instead of dropping)");
+  // Every shard can have all its in-flight epochs plus its stop marker
+  // queued before the merge thread drains any of them.
+  results_ = std::make_unique<MpmcQueue<std::unique_ptr<ShardResult>>>(
+      opts_.shards * (opts_.max_inflight_epochs + 1));
   in_.reserve(opts_.shards);
   shard_metrics_.reserve(opts_.shards);
   for (std::size_t s = 0; s < opts_.shards; ++s) {
@@ -95,11 +89,25 @@ ShardedOnlineChecker::ShardedOnlineChecker(Options opts, EpochCallback on_epoch)
   merge_thread_ = std::thread([this] { merge_loop(); });
 }
 
-ShardedOnlineChecker::~ShardedOnlineChecker() { finish(); }
-
-bool ShardedOnlineChecker::submit_tasks(std::vector<RawBlock> blocks,
-                                        ShardTask::Kind kind) {
+void ShardedOnlineChecker::submit_epoch(std::vector<RawBlock> blocks,
+                                        EpochKind kind) {
   const std::uint64_t epoch = ++next_epoch_;
+  if (opts_.shards == 0) {
+    // Inline: decode in stream order (so the first failure is the first in
+    // line order) straight into the batch — no routing, no sequence tags.
+    DecodedBlock decoded;
+    for (const RawBlock& block : blocks) {
+      DecodedBlock one = opts_.decoder(block);
+      if (!one.error.empty()) {
+        decoded.error = std::move(one.error);
+        decoded.error_line = one.error_line;
+        break;
+      }
+      for (model::Transaction& t : one.txns) decoded.txns.push_back(std::move(t));
+    }
+    process_epoch(kind, epoch, std::move(decoded));
+    return;
+  }
   std::vector<std::unique_ptr<ShardTask>> tasks(opts_.shards);
   for (std::size_t s = 0; s < opts_.shards; ++s) {
     tasks[s] = std::make_unique<ShardTask>();
@@ -118,26 +126,27 @@ bool ShardedOnlineChecker::submit_tasks(std::vector<RawBlock> blocks,
     shard_metrics_[s].queue_depth.set(
         static_cast<std::int64_t>(in_[s]->approx_size()));
   }
-  return true;
 }
 
 bool ShardedOnlineChecker::submit(std::vector<RawBlock> blocks) {
   if (finished_ || stopped()) return false;
   if (blocks.empty()) return true;
-  return submit_tasks(std::move(blocks), ShardTask::Kind::kAppend);
+  submit_epoch(std::move(blocks), EpochKind::kAppend);
+  return true;
 }
 
 bool ShardedOnlineChecker::submit_error(std::vector<RawBlock> pending,
                                         std::uint64_t line,
                                         std::string message) {
   if (finished_ || stopped()) return false;
-  // Written before the epoch's tasks are pushed; the merge thread reads the
-  // fields only after popping this epoch's results, so the ring's
+  // Written before the epoch's tasks are pushed; process_epoch reads the
+  // fields only after this epoch's results were popped, so the ring's
   // release/acquire chain orders the accesses.
   stage1_error_epoch_ = next_epoch_ + 1;
   stage1_error_line_ = line;
   stage1_error_ = std::move(message);
-  return submit_tasks(std::move(pending), ShardTask::Kind::kValidateOnly);
+  submit_epoch(std::move(pending), EpochKind::kValidateOnly);
+  return true;
 }
 
 void ShardedOnlineChecker::shard_loop(std::size_t shard) {
@@ -149,7 +158,7 @@ void ShardedOnlineChecker::shard_loop(std::size_t shard) {
     auto result = std::make_unique<ShardResult>();
     result->kind = task->kind;
     result->epoch = task->epoch;
-    const bool stop = task->kind == ShardTask::Kind::kStop;
+    const bool stop = task->kind == EpochKind::kStop;
     // Once the pipeline stopped, later epochs are discarded by the merge
     // stage whole — skip the decode work, but still report the (empty)
     // result so the merge's per-epoch accounting stays complete.
@@ -177,11 +186,12 @@ void ShardedOnlineChecker::shard_loop(std::size_t shard) {
                                      .count());
       }
     }
-    if (!results_.try_push_ref(result)) {
+    if (!results_->try_push_ref(result)) {
       m.result_stalls.inc();
-      results_.push(std::move(result));
+      results_->push(std::move(result));
     }
-    merge_depth_gauge_.set(static_cast<std::int64_t>(results_.approx_size()));
+    merge_metrics_->merge_depth.set(
+        static_cast<std::int64_t>(results_->approx_size()));
     if (stop) return;
   }
 }
@@ -192,12 +202,13 @@ void ShardedOnlineChecker::merge_loop() {
   std::size_t stops_seen = 0;
   while (stops_seen < opts_.shards) {
     std::unique_ptr<ShardResult> r;
-    if (!results_.try_pop(r)) {
-      merge_stalls_counter_.inc();
-      r = results_.pop();
+    if (!results_->try_pop(r)) {
+      merge_metrics_->merge_stalls.inc();
+      r = results_->pop();
     }
-    merge_depth_gauge_.set(static_cast<std::int64_t>(results_.approx_size()));
-    if (r->kind == ShardTask::Kind::kStop) {
+    merge_metrics_->merge_depth.set(
+        static_cast<std::int64_t>(results_->approx_size()));
+    if (r->kind == EpochKind::kStop) {
       ++stops_seen;
       continue;
     }
@@ -210,7 +221,7 @@ void ShardedOnlineChecker::merge_loop() {
       std::vector<std::unique_ptr<ShardResult>> batch = std::move(it->second);
       pending.erase(it);
       ++next;
-      process_epoch(std::move(batch));
+      merge_epoch(std::move(batch));
     }
   }
   // Every task produced exactly one result and every shard's results precede
@@ -218,51 +229,55 @@ void ShardedOnlineChecker::merge_loop() {
   assert(pending.empty());
 }
 
-void ShardedOnlineChecker::process_epoch(
+void ShardedOnlineChecker::merge_epoch(
     std::vector<std::unique_ptr<ShardResult>> results) {
-  if (stopped()) return;  // a stopped pipeline discards later epochs whole
-
-  // Error reconciliation: the first error in LINE order wins — shard decode
-  // errors are ordered by the failing block's first line, and a stage-1
-  // stream error (always past every pending block) competes on its own line.
-  const std::string* error = nullptr;
-  std::uint64_t error_line = 0;
-  for (const std::unique_ptr<ShardResult>& r : results) {
-    if (!r->error.empty() && (error == nullptr || r->error_line < error_line)) {
-      error = &r->error;
-      error_line = r->error_line;
+  // Shard decode errors are ordered by the failing block's first line.
+  DecodedBlock decoded;
+  for (std::unique_ptr<ShardResult>& r : results) {
+    if (!r->error.empty() &&
+        (decoded.error.empty() || r->error_line < decoded.error_line)) {
+      decoded.error = std::move(r->error);
+      decoded.error_line = r->error_line;
     }
   }
-  const bool validate_only = results.front()->kind == ShardTask::Kind::kValidateOnly;
-  if (validate_only && results.front()->epoch == stage1_error_epoch_ &&
-      (error == nullptr || stage1_error_line_ < error_line)) {
-    error = &stage1_error_;
-    error_line = stage1_error_line_;
+  if (decoded.error.empty()) {
+    // Reassemble stream order: concatenate the shards' (seq, txn) pairs and
+    // stable-sort by block sequence (stable keeps a block's transactions in
+    // declaration order).
+    std::vector<std::pair<std::uint32_t, model::Transaction>> seq_txns;
+    std::size_t total = 0;
+    for (const std::unique_ptr<ShardResult>& r : results) total += r->txns.size();
+    seq_txns.reserve(total);
+    for (std::unique_ptr<ShardResult>& r : results) {
+      for (auto& st : r->txns) seq_txns.push_back(std::move(st));
+    }
+    std::stable_sort(seq_txns.begin(), seq_txns.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    decoded.txns.reserve(seq_txns.size());
+    for (auto& [seq, txn] : seq_txns) decoded.txns.push_back(std::move(txn));
   }
-  if (error != nullptr) {
-    result_.error = *error;
+  process_epoch(results.front()->kind, results.front()->epoch, std::move(decoded));
+}
+
+void ShardedOnlineChecker::process_epoch(EpochKind kind, std::uint64_t epoch,
+                                         DecodedBlock decoded) {
+  if (stopped()) return;  // a stopped pipeline discards later epochs whole
+
+  // Error reconciliation: the first error in LINE order wins — a stage-1
+  // stream error (always past every pending block) competes on its own line.
+  const bool validate_only = kind == EpochKind::kValidateOnly;
+  if (validate_only && epoch == stage1_error_epoch_ &&
+      (decoded.error.empty() || stage1_error_line_ < decoded.error_line)) {
+    decoded.error = stage1_error_;
+  }
+  if (!decoded.error.empty()) {
+    result_.error = std::move(decoded.error);
     stopped_.store(true, std::memory_order_release);
     return;
   }
   if (validate_only) return;  // decoded clean; nothing is appended after stop
-
-  // Reassemble stream order: concatenate the shards' (seq, txn) pairs and
-  // stable-sort by block sequence (stable keeps a block's transactions in
-  // declaration order).
-  std::vector<std::pair<std::uint32_t, model::Transaction>> seq_txns;
-  std::size_t total = 0;
-  for (const std::unique_ptr<ShardResult>& r : results) total += r->txns.size();
-  seq_txns.reserve(total);
-  for (std::unique_ptr<ShardResult>& r : results) {
-    for (auto& st : r->txns) seq_txns.push_back(std::move(st));
-  }
-  std::stable_sort(seq_txns.begin(), seq_txns.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<model::Transaction> batch;
-  batch.reserve(seq_txns.size());
-  for (auto& [seq, txn] : seq_txns) batch.push_back(std::move(txn));
-  // A decoder may legitimately produce no transactions; the serial loop
-  // would see an empty batch and skip the flush, so skip the report too.
+  // A decoder may legitimately produce no transactions: no batch, no report.
+  const std::vector<model::Transaction>& batch = decoded.txns;
   if (batch.empty()) return;
 
   const OnlineChecker::Stats before = chk_.stats();
@@ -287,7 +302,7 @@ void ShardedOnlineChecker::process_epoch(
 
   result_.transactions += accepted;
   result_.duplicates += rep.duplicates;
-  epochs_counter_.inc();
+  if (merge_metrics_) merge_metrics_->epochs.inc();
 
   if (on_epoch_ && !on_epoch_(rep)) {
     stopped_.store(true, std::memory_order_release);
@@ -297,9 +312,10 @@ void ShardedOnlineChecker::process_epoch(
 const ShardedOnlineChecker::Result& ShardedOnlineChecker::finish() {
   if (finished_) return result_;
   finished_ = true;
+  if (opts_.shards == 0) return result_;
   for (std::size_t s = 0; s < opts_.shards; ++s) {
     auto stop = std::make_unique<ShardTask>();
-    stop->kind = ShardTask::Kind::kStop;
+    stop->kind = EpochKind::kStop;
     in_[s]->push(std::move(stop));
   }
   for (std::thread& t : shard_threads_) t.join();

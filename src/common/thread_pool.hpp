@@ -105,9 +105,11 @@ class ThreadPool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++outstanding_;
+      // Counted before the task becomes visible to a worker, so the
+      // worker's decrement can never land first and read negative.
+      pool_detail::queue_depth_gauge().add(1);
       queue_.push_back(std::move(qt));
     }
-    pool_detail::queue_depth_gauge().add(1);
     cv_.notify_one();
   }
 

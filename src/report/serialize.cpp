@@ -2,6 +2,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "report/tokenizer.hpp"
 
 namespace crooks::report {
 
@@ -11,45 +14,26 @@ namespace {
   throw std::invalid_argument("line " + std::to_string(line) + ": " + why);
 }
 
-/// Split a line into tokens, dropping comments.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream ss(line);
-  std::string tok;
-  while (ss >> tok) {
-    if (tok[0] == '#') break;
-    out.push_back(tok);
+/// Reads one numeric field through the format's checked reader. A value
+/// equal to `reserved` (the in-memory sentinel for "attribute absent") is
+/// rejected too: accepting it would silently drop the attribute.
+template <class T>
+T parse_number(std::string_view s, std::size_t line, const char* what,
+               std::optional<T> reserved = std::nullopt) {
+  T v{};
+  const std::errc ec = read_number(s, v);
+  auto quoted = [&] { return std::string(what) + ": '" + std::string(s) + "'"; };
+  if (ec == std::errc::result_out_of_range) fail(line, "out-of-range " + quoted());
+  if (ec != std::errc()) fail(line, "bad " + quoted());
+  if (v == reserved) {
+    fail(line, "reserved " + quoted() + " (the sentinel for an absent " + what + ")");
   }
-  return out;
+  return v;
 }
 
-std::uint64_t parse_u64(const std::string& s, std::size_t line, const char* what) {
-  try {
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(s, &used);
-    if (used != s.size()) fail(line, std::string("bad ") + what + ": '" + s + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(line, std::string("bad ") + what + ": '" + s + "'");
-  } catch (const std::out_of_range&) {
-    fail(line, std::string("out-of-range ") + what + ": '" + s + "'");
-  }
-}
-
-Timestamp parse_ts(const std::string& s, std::size_t line, const char* what) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(s, &used);
-    if (used != s.size()) fail(line, std::string("bad ") + what + ": '" + s + "'");
-    return v;
-  } catch (const std::exception&) {
-    fail(line, std::string("bad ") + what + ": '" + s + "'");
-  }
-}
-
-ct::IsolationLevel parse_level(const std::string& s, std::size_t line) {
+ct::IsolationLevel parse_level(std::string_view s, std::size_t line) {
   if (const auto l = ct::level_from_name(s)) return *l;
-  fail(line, "unknown isolation level '" + s +
+  fail(line, "unknown isolation level '" + std::string(s) +
                  "' (valid: " + std::string(ct::kValidLevelNames) + ")");
 }
 
@@ -62,6 +46,7 @@ Observations parse_observations(std::istream& in) {
 
   std::string line;
   std::size_t lineno = 0;
+  std::vector<std::string_view> tok;  // reused across lines
 
   // Open-transaction state.
   bool open = false;
@@ -81,65 +66,75 @@ Observations parse_observations(std::istream& in) {
 
   while (std::getline(in, line)) {
     ++lineno;
-    const std::vector<std::string> tok = tokenize(line);
+    tok.clear();
+    LineTokens tokens(line);
+    for (std::string_view t = tokens.next(); !t.empty(); t = tokens.next()) {
+      tok.push_back(t);
+    }
     if (tok.empty()) continue;
 
     if (tok[0] == "txn") {
       if (open) fail(lineno, "'txn' while another transaction is open");
       if (tok.size() < 2) fail(lineno, "txn needs an id");
       open = true;
-      id = TxnId{parse_u64(tok[1], lineno, "txn id")};
+      id = TxnId{parse_number<std::uint64_t>(tok[1], lineno, "txn id")};
       session = kNoSession;
       site = SiteId{0};
       start = commit = kNoTimestamp;
       level = std::nullopt;
       for (std::size_t i = 2; i < tok.size(); ++i) {
         const auto eq = tok[i].find('=');
-        if (eq == std::string::npos) fail(lineno, "expected key=value: '" + tok[i] + "'");
-        const std::string key = tok[i].substr(0, eq);
-        const std::string val = tok[i].substr(eq + 1);
+        if (eq == std::string_view::npos) {
+          fail(lineno, "expected key=value: '" + std::string(tok[i]) + "'");
+        }
+        const std::string_view key = tok[i].substr(0, eq);
+        const std::string_view val = tok[i].substr(eq + 1);
         if (key == "session") {
-          session = SessionId{static_cast<std::uint32_t>(parse_u64(val, lineno, "session"))};
+          session = SessionId{parse_number<std::uint32_t>(val, lineno, "session",
+                                                          kNoSession.value)};
         } else if (key == "site") {
-          site = SiteId{static_cast<std::uint32_t>(parse_u64(val, lineno, "site"))};
+          site = SiteId{parse_number<std::uint32_t>(val, lineno, "site")};
         } else if (key == "start") {
-          start = parse_ts(val, lineno, "start");
+          start = parse_number<Timestamp>(val, lineno, "start", kNoTimestamp);
         } else if (key == "commit") {
-          commit = parse_ts(val, lineno, "commit");
+          commit = parse_number<Timestamp>(val, lineno, "commit", kNoTimestamp);
         } else if (key == "level") {
           level = parse_level(val, lineno);
         } else {
-          fail(lineno, "unknown attribute '" + key + "'");
+          fail(lineno, "unknown attribute '" + std::string(key) + "'");
         }
       }
     } else if (tok[0] == "read") {
       if (!open) fail(lineno, "'read' outside a transaction");
       if (tok.size() < 3) fail(lineno, "read needs: read <key> <writer> [phantom]");
-      const Key k{parse_u64(tok[1], lineno, "key")};
-      const TxnId w{parse_u64(tok[2], lineno, "writer")};
+      const Key k{parse_number<std::uint64_t>(tok[1], lineno, "key")};
+      const TxnId w{parse_number<std::uint64_t>(tok[2], lineno, "writer")};
       const bool phantom = tok.size() > 3 && tok[3] == "phantom";
-      if (tok.size() > 3 && !phantom) fail(lineno, "unexpected token '" + tok[3] + "'");
+      if (tok.size() > 3 && !phantom) {
+        fail(lineno, "unexpected token '" + std::string(tok[3]) + "'");
+      }
       ops.push_back(phantom ? model::Operation::read_intermediate(k, w)
                             : model::Operation::read(k, w));
     } else if (tok[0] == "write") {
       if (!open) fail(lineno, "'write' outside a transaction");
       if (tok.size() != 2) fail(lineno, "write needs: write <key>");
-      ops.push_back(model::Operation::write(Key{parse_u64(tok[1], lineno, "key")}, id));
+      ops.push_back(model::Operation::write(
+          Key{parse_number<std::uint64_t>(tok[1], lineno, "key")}, id));
     } else if (tok[0] == "end") {
       close(lineno);
     } else if (tok[0] == "vo") {
       if (open) fail(lineno, "'vo' inside a transaction");
       if (tok.size() < 2) fail(lineno, "vo needs: vo <key> <id...>");
-      auto& order = vo[Key{parse_u64(tok[1], lineno, "key")}];
+      auto& order = vo[Key{parse_number<std::uint64_t>(tok[1], lineno, "key")}];
       for (std::size_t i = 2; i < tok.size(); ++i) {
-        order.push_back(TxnId{parse_u64(tok[i], lineno, "txn id")});
+        order.push_back(TxnId{parse_number<std::uint64_t>(tok[i], lineno, "txn id")});
       }
     } else if (tok[0] == "default-level") {
       if (open) fail(lineno, "'default-level' inside a transaction");
       if (tok.size() != 2) fail(lineno, "default-level needs: default-level <name>");
       default_level = parse_level(tok[1], lineno);
     } else {
-      fail(lineno, "unknown directive '" + tok[0] + "'");
+      fail(lineno, "unknown directive '" + std::string(tok[0]) + "'");
     }
   }
   if (open) fail(lineno, "unterminated transaction (missing 'end')");

@@ -4,29 +4,26 @@
 // mid-block (a `txn` opened but its `end` not yet written — complete blocks
 // are batched, the open one waits).
 //
-// The stream is consumed in three conceptual stages shared by the serial and
-// pipelined paths:
+// The stream is consumed in three stages:
 //   stage 1  Splitter — cuts the byte stream into complete RawBlocks and
 //            owns ALL parser state that crosses block boundaries (the
 //            `default-level` directive, the open-block accumulator, stream-
 //            level errors). Downstream decoding is stateless per block.
 //   stage 2  decode_block — RawBlock -> transactions via parse_observations,
 //            with the directive applied to unannotated transactions. Pure:
-//            safe to run on any thread, which is exactly what the pipelined
-//            path's shard workers do.
-//   stage 3  OnlineChecker::append_all per batch — serial: inline at every
-//            flush; pipelined: on ShardedOnlineChecker's merge thread.
-// The error contract is "first error in line order wins, and an error drops
-// its whole batch"; both paths implement it identically (the serial path
-// validates pending blocks before reporting a stream error, mirroring the
-// pipeline's validate-only epoch).
+//            safe to run on any thread.
+//   stage 3  OnlineChecker::append_all per batch.
+// This file is stage 1 and the read loop; it hands every batch (an epoch) to
+// checker::ShardedOnlineChecker, which runs stages 2 and 3 inline on this
+// thread (ingest_threads == 0) or on its shard and merge threads. The error
+// contract — "first error in line order wins, and an error drops its whole
+// batch" — lives there, once, for both executors.
 #include "report/stream_audit.hpp"
 
-#include <cctype>
 #include <chrono>
-#include <span>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -34,6 +31,7 @@
 #include "checker/sharded_online.hpp"
 #include "obs/metrics.hpp"
 #include "report/serialize.hpp"
+#include "report/tokenizer.hpp"
 
 namespace crooks::report {
 
@@ -70,62 +68,21 @@ struct FollowMetrics {
   }
 };
 
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
-/// First whitespace-separated token of `line`, with any '#' comment removed.
-/// A plain character scan — the follow hot loop calls this once per input
-/// line, and the istringstream it replaced paid a locale acquisition (a
-/// shared refcount, i.e. a lock) per call.
-std::string_view first_token(std::string_view line) {
-  const std::size_t hash = line.find('#');
-  if (hash != std::string_view::npos) line = line.substr(0, hash);
-  std::size_t b = 0;
-  while (b < line.size() && is_space(line[b])) ++b;
-  std::size_t e = b;
-  while (e < line.size() && !is_space(line[e])) ++e;
-  return line.substr(b, e - b);
-}
-
-/// All whitespace-separated tokens, comment stripped (same splitting as the
-/// parser's tokenize, without the stream machinery).
-std::vector<std::string_view> tokens_of(std::string_view line) {
-  const std::size_t hash = line.find('#');
-  if (hash != std::string_view::npos) line = line.substr(0, hash);
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && is_space(line[i])) ++i;
-    std::size_t e = i;
-    while (e < line.size() && !is_space(line[e])) ++e;
-    if (e > i) out.push_back(line.substr(i, e - i));
-    i = e;
-  }
-  return out;
-}
-
 /// Shard routing key of a block: the `session=` value on its `txn` header
 /// line, 0 when absent or malformed (a malformed attribute routes anywhere —
 /// the shard's parse produces the very same error message regardless).
 std::uint64_t route_of(std::string_view txn_line) {
-  for (std::string_view tok : tokens_of(txn_line)) {
+  LineTokens tokens(txn_line);
+  for (std::string_view tok = tokens.next(); !tok.empty(); tok = tokens.next()) {
     if (tok.rfind("session=", 0) != 0) continue;
-    const std::string_view v = tok.substr(8);
-    if (v.empty()) return 0;
-    std::uint64_t n = 0;
-    for (char c : v) {
-      if (c < '0' || c > '9') return 0;
-      n = n * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return n;
+    std::uint32_t session = 0;
+    return read_number(tok.substr(8), session) == std::errc() ? session : 0;
   }
   return 0;
 }
 
-/// Stage 2: decode one complete block. Pure — no shared state — so the
-/// pipelined path hands it to shard workers as-is. The error string is the
-/// exact message the serial monitor has always reported.
+/// Stage 2: decode one complete block. Pure — no shared state — so shard
+/// workers may run it concurrently.
 checker::DecodedBlock decode_block(const checker::RawBlock& block) {
   checker::DecodedBlock out;
   out.error_line = block.first_line;
@@ -161,7 +118,6 @@ struct Splitter {
   bool in_block = false;
 
   // Stream-level error (a stage-1 fact, distinct from a block parse error).
-  bool failed = false;
   std::uint64_t error_line = 0;
   std::string error;  // formatted "line N: why"
 
@@ -172,7 +128,7 @@ struct Splitter {
   /// Consume one complete line; false on a stream-level error.
   bool consume(const std::string& line) {
     ++line_no;
-    const std::string_view tok = first_token(line);
+    const std::string_view tok = LineTokens(line).next();
     if (in_block) {
       if (tok == "txn") return fail("'txn' inside an unfinished block");
       if (tok == "vo") return fail("'vo' inside an unfinished block");
@@ -197,13 +153,15 @@ struct Splitter {
     if (tok == "default-level") {
       // Hoisted directive handling: resolved here, once, and stamped onto
       // every later block — the per-block decoders stay stateless.
-      const std::vector<std::string_view> toks = tokens_of(line);
-      if (toks.size() != 2) {
+      LineTokens toks(line);
+      toks.next();  // "default-level"
+      const std::string_view name = toks.next();
+      if (name.empty() || !toks.next().empty()) {
         return fail("default-level needs: default-level <name>");
       }
-      const auto level = ct::level_from_name(std::string(toks[1]));
+      const auto level = ct::level_from_name(name);
       if (!level.has_value()) {
-        return fail("unknown isolation level '" + std::string(toks[1]) +
+        return fail("unknown isolation level '" + std::string(name) +
                     "' (valid: " + std::string(ct::kValidLevelNames) + ")");
       }
       default_level = *level;
@@ -219,173 +177,25 @@ struct Splitter {
   }
 
   bool fail(std::string why) {
-    failed = true;
     error_line = line_no;
     error = "line " + std::to_string(line_no) + ": " + why;
     return false;
   }
 };
 
-/// Serial path: decode at every flush on the calling thread.
-StreamAuditResult stream_audit_serial(
+}  // namespace
+
+StreamAuditResult stream_audit(
     std::istream& in, const StreamAuditOptions& opts,
     const std::function<bool(const StreamBlockReport&)>& on_block) {
-  StreamAuditResult result;
-  checker::OnlineChecker chk(opts.levels);
-  chk.set_window({opts.window_txns, opts.window_bytes});
-  if (opts.on_checker) opts.on_checker(chk);
+  checker::ShardedOnlineChecker::Options pipe_opts;
+  pipe_opts.shards = opts.ingest_threads;
+  pipe_opts.levels = opts.levels;
+  pipe_opts.window = {opts.window_txns, opts.window_bytes};
+  pipe_opts.decoder = decode_block;
+  pipe_opts.on_checker = opts.on_checker;
 
-  Splitter splitter;
-  std::string partial;  // line fragment read before its newline
-  std::vector<model::Transaction> batch;
-  bool stop = false;
-  Clock::time_point last_input = Clock::now();
-
-  // The stream-error exit, mirroring the pipeline's validate-only epoch: an
-  // earlier pending block's parse error must win over the stream error (the
-  // serial reader of old hit it first, at that block's `end` line).
-  auto stream_fail = [&]() {
-    for (const checker::RawBlock& block : splitter.pending) {
-      const checker::DecodedBlock decoded = decode_block(block);
-      if (!decoded.error.empty()) {
-        result.error = decoded.error;
-        stop = true;
-        return;
-      }
-    }
-    result.error = splitter.error;
-    stop = true;
-  };
-
-  auto flush = [&]() {
-    if (stop) return;
-    // Each block is decoded on its own: a writer re-emitting a transaction
-    // block is a checker-level duplicate (ignored) no matter how the blocks
-    // happen to batch across polls — parsing a whole batch as one document
-    // would instead turn "both copies arrived in the same poll" into a
-    // fatal parse error.
-    for (const checker::RawBlock& block : splitter.pending) {
-      checker::DecodedBlock decoded = decode_block(block);
-      if (!decoded.error.empty()) {
-        result.error = std::move(decoded.error);
-        stop = true;
-        splitter.pending.clear();
-        return;
-      }
-      for (model::Transaction& t : decoded.txns) batch.push_back(std::move(t));
-    }
-    splitter.pending.clear();
-    if (batch.empty()) return;
-
-    const checker::OnlineChecker::Stats before = chk.stats();
-    const std::vector<ct::IsolationLevel> alive_before = chk.surviving_levels();
-    const Clock::time_point t0 = Clock::now();
-    const std::size_t accepted =
-        chk.append_all(std::span<const model::Transaction>(batch));
-    const Clock::time_point t1 = Clock::now();
-
-    StreamBlockReport rep;
-    rep.block = ++result.blocks;
-    rep.transactions = accepted;
-    rep.duplicates = chk.stats().duplicates_ignored - before.duplicates_ignored;
-    rep.seconds = std::chrono::duration<double>(t1 - t0).count();
-    for (ct::IsolationLevel level : alive_before) {
-      if (!chk.status(level).ok) rep.died.push_back(level);
-    }
-    rep.checker = &chk;
-    rep.watermark = chk.watermark();
-    rep.resident_txns = chk.resident_txns();
-    rep.resident_ops = chk.resident_ops();
-
-    result.transactions += accepted;
-    result.duplicates += rep.duplicates;
-    batch.clear();
-
-    if (obs::enabled()) {
-      FollowMetrics& m = FollowMetrics::get();
-      m.batches.inc();
-      m.txns.inc(accepted);
-      m.duplicates.inc(rep.duplicates);
-      m.batch_seconds.observe(rep.seconds);
-      m.levels_alive.set(static_cast<std::int64_t>(chk.surviving_levels().size()));
-    }
-    if (opts.metrics_every != 0 && result.blocks % opts.metrics_every == 0) {
-      rep.metrics_snapshot = obs::Registry::global().json();
-    }
-
-    if (on_block && !on_block(rep)) stop = true;
-    if (opts.max_blocks != 0 && result.blocks >= opts.max_blocks) stop = true;
-  };
-
-  std::string line;
-  while (!stop) {
-    if (std::getline(in, line)) {
-      last_input = Clock::now();
-      if (in.eof()) {
-        // The writer hasn't finished this line yet; hold it for later polls.
-        partial += line;
-        continue;
-      }
-      if (!splitter.consume(partial + line)) stream_fail();
-      partial.clear();
-      continue;
-    }
-    // Caught up with the stream: audit everything complete, then poll.
-    if (opts.max_blocks != 0 && result.blocks + 1 >= opts.max_blocks &&
-        splitter.in_block && !partial.empty() && first_token(partial) == "end") {
-      // This flush is the last one --max-blocks allows, and the open block's
-      // `end` already arrived minus its newline. The idle-exit path would
-      // treat such a fragment as the complete final line after the loop, but
-      // max_blocks stops the loop with `stop` set, skipping it — so the
-      // fully-delivered block would silently never be audited. Complete it
-      // here instead, so it joins the final batch.
-      if (!splitter.consume(partial)) stream_fail();
-      partial.clear();
-    }
-    flush();
-    if (stop) break;
-    if (opts.idle_exit_ms > 0 &&
-        Clock::now() - last_input >= std::chrono::milliseconds(opts.idle_exit_ms)) {
-      break;
-    }
-    in.clear();
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
-  }
-  if (!stop && !partial.empty()) {
-    // The writer exited without a trailing newline (idle-exit fired with a
-    // buffered fragment): treat the fragment as the complete final line so a
-    // block whose `end` lacks the newline is still audited.
-    if (!splitter.consume(partial)) stream_fail();
-    partial.clear();
-  }
-  flush();  // blocks completed by the final reads before a stop condition
-
-  result.surviving = chk.surviving_levels();
-  for (ct::IsolationLevel level : opts.levels) {
-    result.statuses.emplace(level, chk.status(level));
-  }
-  result.checker_stats = chk.stats();
-  return result;
-}
-
-/// Pipelined path: stage 1 runs here, decode and append run on
-/// ShardedOnlineChecker's threads. Flush boundaries (and therefore batch
-/// numbering, per-batch counters and every checker-visible ordering) are cut
-/// exactly where the serial path cuts them.
-StreamAuditResult stream_audit_pipelined(
-    std::istream& in, const StreamAuditOptions& opts,
-    const std::function<bool(const StreamBlockReport&)>& on_block) {
-  StreamAuditResult result;
-
-  checker::ShardedOnlineChecker::Options sharded;
-  sharded.shards = opts.ingest_threads;
-  sharded.levels = opts.levels;
-  sharded.window = {opts.window_txns, opts.window_bytes};
-  sharded.decoder = decode_block;
-  sharded.on_checker = opts.on_checker;
-
-  // Per-epoch adapter, invoked sequentially on the merge thread: the same
-  // report/metrics/callback/stop logic as a serial flush.
+  // Per-epoch adapter, invoked sequentially (inline, or on the merge thread).
   auto on_epoch = [&](const checker::ShardedOnlineChecker::EpochReport& er) {
     StreamBlockReport rep;
     rep.block = er.epoch;
@@ -413,10 +223,10 @@ StreamAuditResult stream_audit_pipelined(
     if (opts.max_blocks != 0 && er.epoch >= opts.max_blocks) keep = false;
     return keep;
   };
-  checker::ShardedOnlineChecker pipeline(std::move(sharded), on_epoch);
+  checker::ShardedOnlineChecker pipeline(std::move(pipe_opts), on_epoch);
 
   Splitter splitter;
-  std::string partial;
+  std::string partial;  // line fragment read before its newline
   std::string line;
   std::uint64_t submitted = 0;
   bool failed = false;
@@ -426,6 +236,7 @@ StreamAuditResult stream_audit_pipelined(
     if (std::getline(in, line)) {
       last_input = Clock::now();
       if (in.eof()) {
+        // The writer hasn't finished this line yet; hold it for later polls.
         partial += line;
         continue;
       }
@@ -436,11 +247,15 @@ StreamAuditResult stream_audit_pipelined(
       partial.clear();
       continue;
     }
-    // Caught up: submit the epoch (stage 2/3 overlap with further reading).
+    // Caught up with the stream: submit everything complete, then poll.
     if (opts.max_blocks != 0 && submitted + 1 >= opts.max_blocks &&
-        splitter.in_block && !partial.empty() && first_token(partial) == "end") {
-      // Same fully-delivered-final-block case as the serial path; `end` as a
-      // complete line cannot produce a stream error.
+        splitter.in_block && !partial.empty() && LineTokens(partial).next() == "end") {
+      // This epoch is the last one --max-blocks allows, and the open block's
+      // `end` already arrived minus its newline. The idle-exit path below
+      // would treat such a fragment as the complete final line, but
+      // max_blocks ends the loop first — so the fully-delivered block would
+      // silently never be audited. Complete it here instead, so it joins the
+      // final epoch (`end` as a complete line cannot be a stream error).
       splitter.consume(partial);
       partial.clear();
     }
@@ -460,14 +275,15 @@ StreamAuditResult stream_audit_pipelined(
     std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
   }
   if (!failed && !pipeline.stopped() && !partial.empty()) {
-    // Idle-exit with a buffered final fragment, as in the serial path.
+    // The writer exited without a trailing newline (idle-exit fired with a
+    // buffered fragment): treat the fragment as the complete final line so a
+    // block whose `end` lacks the newline is still audited.
     if (!splitter.consume(partial)) failed = true;
     partial.clear();
   }
   if (failed) {
-    // Validate-only epoch: pending blocks are decoded for the first-error-
-    // in-line-order reconciliation but never appended (the serial path drops
-    // an erroring batch whole).
+    // Validate-only epoch: pending blocks are decoded so an earlier block's
+    // parse error wins over the stream error, but never appended.
     pipeline.submit_error(std::move(splitter.pending), splitter.error_line,
                           splitter.error);
   } else if (!splitter.pending.empty()) {
@@ -475,6 +291,7 @@ StreamAuditResult stream_audit_pipelined(
   }
 
   const checker::ShardedOnlineChecker::Result& fin = pipeline.finish();
+  StreamAuditResult result;
   result.blocks = fin.epochs;
   result.transactions = fin.transactions;
   result.duplicates = fin.duplicates;
@@ -487,15 +304,6 @@ StreamAuditResult stream_audit_pipelined(
   }
   result.checker_stats = chk.stats();
   return result;
-}
-
-}  // namespace
-
-StreamAuditResult stream_audit(
-    std::istream& in, const StreamAuditOptions& opts,
-    const std::function<bool(const StreamBlockReport&)>& on_block) {
-  return opts.ingest_threads >= 1 ? stream_audit_pipelined(in, opts, on_block)
-                                  : stream_audit_serial(in, opts, on_block);
 }
 
 }  // namespace crooks::report

@@ -23,11 +23,13 @@
 // transaction, so the level column of the compiled stream matches what an
 // offline parse of the same file would build.
 //
-// With StreamAuditOptions::ingest_threads >= 1 the same loop drives the
-// pipelined ingest instead: stage 1 (this thread) splits blocks and resolves
-// directives, N shard workers decode their session partition, and a merge
-// thread appends every batch — in stream order, through one authoritative
-// checker — so results are byte-identical to the serial path by construction.
+// There is one read loop. It splits blocks and resolves directives on the
+// calling thread (stage 1) and hands every batch to the ingest pipeline
+// (checker::ShardedOnlineChecker), which decodes and appends it through one
+// authoritative checker. StreamAuditOptions::ingest_threads only picks that
+// pipeline's executor: 0 runs it inline on the calling thread; N >= 1 decodes
+// on N session-sharded workers and appends on a merge thread — in stream
+// order, so results are byte-identical at every N by construction.
 #pragma once
 
 #include <cstdint>
@@ -68,15 +70,15 @@ struct StreamAuditOptions {
   /// read. `crooks-check --forensics --follow` attaches its forensics
   /// Collector here (the collector must outlive the audit call).
   std::function<void(checker::OnlineChecker&)> on_checker = {};
-  /// Pipelined ingest (`crooks-check --follow --ingest-threads=N`): N
-  /// session-partitioned shard workers decode blocks in parallel and a merge
-  /// thread runs the one authoritative OnlineChecker
-  /// (checker::ShardedOnlineChecker), overlapping parse with check. 0 (the
-  /// default) audits serially on the calling thread. Verdicts, witnesses,
-  /// batch numbering, counter totals and forensics output are byte-identical
-  /// to the serial path at every shard count — only wall-clock changes. With
-  /// N >= 1 the `on_block` callback runs on the merge thread (calls are
-  /// still strictly sequential, in batch order).
+  /// Ingest executor (`crooks-check --follow --ingest-threads=N`). 0 (the
+  /// default) runs the ingest pipeline (checker::ShardedOnlineChecker)
+  /// inline: every batch is decoded and appended on the calling thread, with
+  /// no extra threads. N >= 1 decodes on N session-partitioned shard workers
+  /// and appends on a merge thread, overlapping parse with check. Verdicts,
+  /// witnesses, batch numbering, counter totals and forensics output are
+  /// byte-identical at every N — only wall-clock changes. With N >= 1 the
+  /// `on_block` callback runs on the merge thread (calls are still strictly
+  /// sequential, in batch order).
   std::size_t ingest_threads = 0;
 };
 

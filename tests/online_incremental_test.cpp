@@ -29,6 +29,7 @@
 #include "checker/online.hpp"
 #include "checker/reference.hpp"
 #include "model/compiled.hpp"
+#include "obs/metrics.hpp"
 #include "report/serialize.hpp"
 #include "report/stream_audit.hpp"
 #include "store/runner.hpp"
@@ -527,6 +528,21 @@ TEST(StreamAudit, MetricsSnapshotEveryNthBatch) {
         });
     EXPECT_TRUE(r.error.empty()) << r.error;
   }
+}
+
+TEST(StreamAudit, SerialScrapeHasNoIngestSeries) {
+  // ingest_threads = 0 runs the ingest pipeline inline: no threads, no
+  // rings, and no crooks_ingest_* series in the scrape. (Series live for the
+  // process, so this holds because no test in this binary starts a threaded
+  // pipeline.)
+  std::istringstream in("txn 1 start=0 commit=1\n write 0\nend\n");
+  const report::StreamAuditResult r = report::stream_audit(in, {.idle_exit_ms = 1});
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  ASSERT_EQ(r.blocks, 1u);
+  const std::string scrape = obs::Registry::global().json();
+  EXPECT_NE(scrape.find("\"crooks_follow_batches_total\""), std::string::npos)
+      << scrape;
+  EXPECT_EQ(scrape.find("crooks_ingest_"), std::string::npos) << scrape;
 }
 
 TEST(StreamAudit, FollowsGrowingFileWithConcurrentWriter) {

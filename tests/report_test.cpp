@@ -1,8 +1,18 @@
 // Serialization round-trips, parser error handling, and audit rendering.
+// The input-contract tests run each document both through the offline parser
+// and through report::stream_audit at ingest_threads 0 and 2: the two readers
+// share one tokenizer and one numeric reader, and must agree line by line.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "report/report.hpp"
 #include "report/serialize.hpp"
+#include "report/stream_audit.hpp"
 
 namespace crooks::report {
 namespace {
@@ -86,6 +96,134 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
   expect_error("txn 1 bogus=1\nend\n", "unknown attribute");
   expect_error("frobnicate\n", "unknown directive");
   expect_error("txn x\nend\n", "bad txn id");
+}
+
+/// The error of an offline parse of `text`, empty when it parses.
+std::string offline_error(const std::string& text) {
+  try {
+    parse_observations(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+StreamAuditResult follow(const std::string& text, std::size_t ingest_threads) {
+  std::istringstream in(text);
+  StreamAuditOptions opts;
+  opts.poll_ms = 1;
+  opts.idle_exit_ms = 1;
+  opts.ingest_threads = ingest_threads;
+  return stream_audit(in, opts);
+}
+
+const std::size_t kIngestThreads[] = {0, 2};
+
+/// `doc` (a single block starting at line 1) is rejected with exactly
+/// `message` offline, and with the same message under --follow.
+void expect_rejected(const std::string& doc, const std::string& message) {
+  EXPECT_EQ(offline_error(doc), message) << doc;
+  for (std::size_t threads : kIngestThreads) {
+    const StreamAuditResult r = follow(doc, threads);
+    EXPECT_EQ(r.error, "block starting at line 1: " + message)
+        << doc << " threads " << threads;
+    EXPECT_EQ(r.transactions, 0u) << doc << " threads " << threads;
+  }
+}
+
+/// `doc` parses offline and is fully audited under --follow.
+void expect_accepted(const std::string& doc) {
+  const std::string error = offline_error(doc);
+  EXPECT_TRUE(error.empty()) << doc << ": " << error;
+  for (std::size_t threads : kIngestThreads) {
+    const StreamAuditResult r = follow(doc, threads);
+    EXPECT_TRUE(r.error.empty()) << doc << " threads " << threads << ": " << r.error;
+    EXPECT_EQ(r.transactions, parse_observations(doc).txns.size())
+        << doc << " threads " << threads;
+  }
+}
+
+TEST(InputContract, RejectsSignOnUnsignedField) {
+  // Was accepted as id 2^64-1 and reported SATISFIABLE.
+  expect_rejected("txn -1\nend\n", "line 1: bad txn id: '-1'");
+  expect_rejected("txn +1\nend\n", "line 1: bad txn id: '+1'");
+  expect_rejected("txn 1\n  write -3\nend\n", "line 2: bad key: '-3'");
+  expect_accepted("txn 18446744073709551615\n  write 0\nend\n");
+}
+
+TEST(InputContract, RejectsSessionAndSiteOverflow) {
+  // Were truncated to 32 bits: session=4294967296 silently became session 0.
+  expect_rejected("txn 1 session=4294967296\nend\n",
+                  "line 1: out-of-range session: '4294967296'");
+  expect_rejected("txn 1 site=4294967296\nend\n",
+                  "line 1: out-of-range site: '4294967296'");
+  expect_accepted("txn 1 session=4294967294 site=4294967295\n  write 0\nend\n");
+}
+
+TEST(InputContract, RejectsNoSessionSentinel) {
+  // Equal to kNoSession: the session's guarantees were silently dropped.
+  expect_rejected("txn 1 session=4294967295\nend\n",
+                  "line 1: reserved session: '4294967295' (the sentinel for "
+                  "an absent session)");
+}
+
+TEST(InputContract, RejectsNoTimestampSentinel) {
+  // Equal to kNoTimestamp: the transaction silently lost its timestamp.
+  expect_rejected("txn 1 start=-9223372036854775808\nend\n",
+                  "line 1: reserved start: '-9223372036854775808' (the "
+                  "sentinel for an absent start)");
+  expect_rejected("txn 1 commit=-9223372036854775808\nend\n",
+                  "line 1: reserved commit: '-9223372036854775808' (the "
+                  "sentinel for an absent commit)");
+  expect_accepted(
+      "txn 1 start=-9223372036854775807 commit=9223372036854775807\n"
+      "  write 0\nend\n");
+}
+
+TEST(InputContract, RejectedInputTableMatchesParser) {
+  // Every row of the "Rejected input" table in the format doc: the input
+  // line (closed with `end`) must be rejected with exactly the listed error.
+  std::ifstream doc(CROOKS_DOCS_DIR "/observation-format.md");
+  ASSERT_TRUE(doc.good());
+  std::vector<std::pair<std::string, std::string>> rows;
+  std::string line;
+  bool in_section = false;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0) in_section = line == "## Rejected input";
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    // | `input` | `error` | why |
+    const std::size_t a = line.find('`') + 1;
+    const std::size_t a_end = line.find('`', a);
+    const std::size_t b = line.find('`', a_end + 1) + 1;
+    const std::size_t b_end = line.find('`', b);
+    rows.emplace_back(line.substr(a, a_end - a), line.substr(b, b_end - b));
+  }
+  ASSERT_EQ(rows.size(), 6u);
+  for (const auto& [input, error] : rows) expect_rejected(input + "\nend\n", error);
+}
+
+TEST(InputContract, CommentRuleIsTheSameOfflineAndUnderFollow) {
+  // `#` starts a comment wherever it appears, in both readers. Before one
+  // tokenizer served both, `default-level RC#note` passed under --follow but
+  // was an unknown level offline, and `write 0#note` was a bad key in both.
+  expect_accepted("default-level RC#note\ntxn 1\n  write 0\nend\n");
+  EXPECT_EQ(parse_observations("default-level RC#note\n").default_level,
+            ct::IsolationLevel::kReadCommitted);
+  expect_accepted("txn 1\n  write 0#note\nend\n");
+  expect_accepted("txn 1 session=3#note\n  read 0 0 phantom#x\nend#done\n");
+  const Observations obs =
+      parse_observations("txn 1 session=3#note\n  write 0#note\nend\n");
+  EXPECT_EQ(obs.txns.by_id(TxnId{1}).session(), SessionId{3});
+  EXPECT_EQ(obs.txns.by_id(TxnId{1}).ops()[0].key, Key{0});
+  // The comment does not hide an error in front of it.
+  expect_rejected("txn 1\n  write x#note\nend\n", "line 2: bad key: 'x'");
+  const std::string bad_level = "default-level bogus#RC\n";
+  const std::string message = offline_error(bad_level);
+  EXPECT_EQ(message.rfind("line 1: unknown isolation level 'bogus'", 0), 0u)
+      << message;
+  for (std::size_t threads : kIngestThreads) {
+    EXPECT_EQ(follow(bad_level, threads).error, message) << threads;
+  }
 }
 
 TEST(Serialize, EmptyInputIsEmptyObservationSet) {

@@ -1,13 +1,13 @@
 // Differential suite for the pipelined session-sharded ingest.
 //
-// The strict contract under test: ShardedOnlineChecker (and the pipelined
-// report::stream_audit path built on it) produces BYTE-IDENTICAL results to
-// the serial streaming monitor at every shard count — verdicts per level,
-// first-violation witnesses and explanation strings, Stats totals, duplicate
-// accounting, error messages (first in line order), and the aggregated
-// forensics JSON — across random epoch cuts, all ten uniform levels, mixed
-// per-transaction assignments, and bounded-memory windowing. The pipeline is
-// allowed to change wall-clock only.
+// The strict contract under test: ShardedOnlineChecker (and
+// report::stream_audit, which always runs on it) produces BYTE-IDENTICAL
+// results to a bare OnlineChecker fed the same batches, at every shard count
+// — 0 (the inline executor) included: verdicts per level, first-violation
+// witnesses and explanation strings, Stats totals, duplicate accounting,
+// error messages (first in line order), and the aggregated forensics JSON —
+// across random epoch cuts, all ten uniform levels, and bounded-memory
+// windowing. Threads are allowed to change wall-clock only.
 //
 // Also pinned here: the backpressure discipline (a slow merge stage blocks
 // the producer through the bounded rings — the drop tripwire stays zero and
@@ -21,7 +21,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -123,40 +125,31 @@ std::string stats_line(const OnlineChecker::Stats& s) {
 }
 
 std::string checker_fingerprint(const OnlineChecker& chk,
-                                const std::vector<ct::IsolationLevel>& levels,
-                                bool assigned) {
+                                const std::vector<ct::IsolationLevel>& levels) {
   std::string out;
-  if (assigned) {
-    out += status_line(ct::IsolationLevel::kSerializable, chk.assigned_status());
-  } else {
-    for (ct::IsolationLevel level : levels) {
-      out += status_line(level, chk.status(level));
-    }
+  for (ct::IsolationLevel level : levels) {
+    out += status_line(level, chk.status(level));
   }
   return out;
 }
 
 struct PipelineConfig {
-  std::size_t shards = 0;  // 0 = serial OnlineChecker reference
+  /// nullopt = the bare OnlineChecker reference; 0 = the inline executor.
+  std::optional<std::size_t> shards;
   std::vector<ct::IsolationLevel> levels = {ct::kAllLevels.begin(),
                                             ct::kAllLevels.end()};
-  bool track_assigned = false;
   OnlineChecker::WindowOptions window{};
   std::size_t max_inflight_epochs = 4;
 };
 
-/// Run `cuts` through either the serial reference monitor or the pipeline
-/// and fingerprint everything the contract covers.
+/// Run `cuts` through either the bare reference monitor or the pipeline and
+/// fingerprint everything the contract covers.
 Fingerprint run_cuts(const std::vector<std::vector<Transaction>>& cuts,
                      const PipelineConfig& cfg) {
   Fingerprint fp;
   forensics::Collector collector;
-  if (cfg.shards == 0) {
-    OnlineChecker chk =
-        cfg.track_assigned
-            ? OnlineChecker(OnlineChecker::kTrackAssigned,
-                            ct::IsolationLevel::kSerializable)
-            : OnlineChecker(cfg.levels);
+  if (!cfg.shards.has_value()) {
+    OnlineChecker chk(cfg.levels);
     chk.set_window(cfg.window);
     collector.attach(chk);
     for (const std::vector<Transaction>& cut : cuts) {
@@ -165,14 +158,13 @@ Fingerprint run_cuts(const std::vector<std::vector<Transaction>>& cuts,
       fp.transactions += chk.append_all(std::span<const Transaction>(cut));
     }
     fp.duplicates = chk.stats().duplicates_ignored;
-    fp.statuses = checker_fingerprint(chk, cfg.levels, cfg.track_assigned);
+    fp.statuses = checker_fingerprint(chk, cfg.levels);
     fp.stats = stats_line(chk.stats());
   } else {
     ShardedOnlineChecker::Options opts;
-    opts.shards = cfg.shards;
+    opts.shards = *cfg.shards;
     opts.max_inflight_epochs = cfg.max_inflight_epochs;
     opts.levels = cfg.levels;
-    opts.track_assigned = cfg.track_assigned;
     opts.window = cfg.window;
     opts.decoder = parse_decoder;
     opts.on_checker = [&](OnlineChecker& chk) { collector.attach(chk); };
@@ -192,8 +184,7 @@ Fingerprint run_cuts(const std::vector<std::vector<Transaction>>& cuts,
     fp.transactions = r.transactions;
     fp.duplicates = r.duplicates;
     fp.error = r.error;
-    fp.statuses =
-        checker_fingerprint(pipe.checker(), cfg.levels, cfg.track_assigned);
+    fp.statuses = checker_fingerprint(pipe.checker(), cfg.levels);
     fp.stats = stats_line(pipe.checker().stats());
   }
   fp.forensics = report::forensics_json(collector.table());
@@ -211,7 +202,10 @@ void expect_identical(const Fingerprint& want, const Fingerprint& got,
   EXPECT_EQ(want.forensics, got.forensics) << what;
 }
 
-const std::size_t kShardCounts[] = {1, 2, 8};
+// ShardedOnlineChecker arms: the inline executor and three threaded ones.
+const std::size_t kShardCounts[] = {0, 1, 2, 8};
+// stream_audit arms compared against its ingest_threads = 0 default.
+const std::size_t kIngestThreads[] = {1, 2, 8};
 
 TEST(ShardedOnline, MatchesSerialAcrossLevelsAndCuts) {
   // Adversarial fuzzed observations (dangling reads, phantoms, dropped
@@ -246,25 +240,13 @@ TEST(ShardedOnline, MatchesSerialPerUniformLevel) {
     PipelineConfig cfg;
     cfg.levels = {level};
     const Fingerprint serial = run_cuts(cuts, cfg);
-    cfg.shards = 2;
-    const Fingerprint piped = run_cuts(cuts, cfg);
-    expect_identical(serial, piped, std::string(ct::name_of(level)));
-  }
-}
-
-TEST(ShardedOnline, MatchesSerialInAssignedMode) {
-  const auto fuzz = wl::fuzz_observations(
-      41, {.transactions = 28, .keys = 4, .p_dangling = 0.1,
-           .sessions = 3, .p_level_annotation = 0.6});
-  const std::vector<Transaction> all = to_vector(fuzz.txns);
-  const auto cuts = random_cuts(all, 3, 5);
-  PipelineConfig cfg;
-  cfg.track_assigned = true;
-  const Fingerprint serial = run_cuts(cuts, cfg);
-  for (std::size_t shards : kShardCounts) {
-    cfg.shards = shards;
-    const Fingerprint piped = run_cuts(cuts, cfg);
-    expect_identical(serial, piped, "assigned shards " + std::to_string(shards));
+    for (std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+      cfg.shards = shards;
+      const Fingerprint piped = run_cuts(cuts, cfg);
+      expect_identical(serial, piped,
+                       std::string(ct::name_of(level)) + " shards " +
+                           std::to_string(shards));
+    }
   }
 }
 
@@ -328,32 +310,34 @@ TEST(ShardedOnline, ParseErrorReportsFirstInLineOrder) {
 }
 
 TEST(ShardedOnline, StreamErrorValidatesPendingBlocksFirst) {
-  // submit_error carries pending blocks; a pending block's own parse error
-  // on an EARLIER line must win over the stream-level error.
-  ShardedOnlineChecker::Options opts;
-  opts.shards = 2;
-  opts.decoder = parse_decoder;
-  {
-    ShardedOnlineChecker pipe(std::move(opts));
-    std::vector<RawBlock> pending;
-    pending.push_back({"txn 7\n read\nend\n", 4, 0, std::nullopt});
-    pipe.submit_error(std::move(pending), 9, "line 9: 'vo' is not allowed");
-    const ShardedOnlineChecker::Result& r = pipe.finish();
-    EXPECT_EQ(r.error.rfind("block starting at line 4:", 0), 0u) << r.error;
-  }
-  // With clean pending blocks the stream error itself is reported — and the
-  // pending blocks are validated only, never appended.
-  ShardedOnlineChecker::Options opts2;
-  opts2.shards = 2;
-  opts2.decoder = parse_decoder;
-  ShardedOnlineChecker pipe(std::move(opts2));
   const auto fuzz = wl::fuzz_observations(2, {.transactions = 2, .keys = 2});
   const std::vector<Transaction> all = to_vector(fuzz.txns);
-  pipe.submit_error({block_of(all[0], 4)}, 9, "line 9: 'vo' is not allowed");
-  const ShardedOnlineChecker::Result& r = pipe.finish();
-  EXPECT_EQ(r.error, "line 9: 'vo' is not allowed");
-  EXPECT_EQ(r.transactions, 0u);
-  EXPECT_EQ(pipe.checker().size(), 0u);
+  for (std::size_t shards : kShardCounts) {
+    ShardedOnlineChecker::Options opts;
+    opts.shards = shards;
+    opts.decoder = parse_decoder;
+    {
+      // submit_error carries pending blocks; a pending block's own parse
+      // error on an EARLIER line must win over the stream-level error.
+      ShardedOnlineChecker pipe(opts);
+      std::vector<RawBlock> pending;
+      pending.push_back({"txn 7\n read\nend\n", 4, 0, std::nullopt});
+      pipe.submit_error(std::move(pending), 9, "line 9: 'vo' is not allowed");
+      const ShardedOnlineChecker::Result& r = pipe.finish();
+      EXPECT_EQ(r.error.rfind("block starting at line 4:", 0), 0u)
+          << "shards " << shards << ": " << r.error;
+    }
+    // With clean pending blocks the stream error itself is reported — and
+    // the pending blocks are validated only, never appended.
+    ShardedOnlineChecker pipe(opts);
+    pipe.submit_error({block_of(all[0], 4)}, 9, "line 9: 'vo' is not allowed");
+    const ShardedOnlineChecker::Result& r = pipe.finish();
+    EXPECT_EQ(r.error, "line 9: 'vo' is not allowed") << shards;
+    EXPECT_EQ(r.epochs, 0u) << shards;
+    EXPECT_EQ(r.transactions, 0u) << shards;
+    EXPECT_EQ(pipe.checker().size(), 0u) << shards;
+    EXPECT_FALSE(pipe.submit({block_of(all[1], 20)})) << shards;
+  }
 }
 
 TEST(ShardedOnline, BackpressureBlocksWithoutDropping) {
@@ -397,25 +381,63 @@ TEST(ShardedOnline, BackpressureBlocksWithoutDropping) {
 TEST(ShardedOnline, EpochCallbackFalseStopsPipeline) {
   const auto fuzz = wl::fuzz_observations(5, {.transactions = 20, .keys = 3});
   const std::vector<Transaction> all = to_vector(fuzz.txns);
-  ShardedOnlineChecker::Options opts;
-  opts.shards = 2;
-  opts.decoder = parse_decoder;
-  ShardedOnlineChecker pipe(std::move(opts),
-                            [](const ShardedOnlineChecker::EpochReport& er) {
-                              return er.epoch < 2;  // stop after epoch 2
-                            });
-  std::uint64_t line = 1;
-  for (const Transaction& t : all) {
-    if (!pipe.submit({block_of(t, line)})) break;
-    line += 100;
+  // The reference: a bare checker fed the two epochs the callback allows.
+  const std::vector<ct::IsolationLevel> levels(ct::kAllLevels.begin(),
+                                               ct::kAllLevels.end());
+  OnlineChecker reference(levels);
+  reference.append_all(std::span<const Transaction>(all.data(), 1));
+  reference.append_all(std::span<const Transaction>(all.data() + 1, 1));
+  for (std::size_t shards : kShardCounts) {
+    ShardedOnlineChecker::Options opts;
+    opts.shards = shards;
+    opts.decoder = parse_decoder;
+    ShardedOnlineChecker pipe(std::move(opts),
+                              [](const ShardedOnlineChecker::EpochReport& er) {
+                                return er.epoch < 2;  // stop after epoch 2
+                              });
+    std::uint64_t line = 1;
+    for (const Transaction& t : all) {
+      if (!pipe.submit({block_of(t, line)})) break;
+      line += 100;
+    }
+    const ShardedOnlineChecker::Result& r = pipe.finish();
+    EXPECT_EQ(r.epochs, 2u) << shards;
+    EXPECT_EQ(r.transactions, 2u) << shards;
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_TRUE(pipe.stopped()) << shards;
+    EXPECT_EQ(stats_line(pipe.checker().stats()), stats_line(reference.stats()))
+        << shards;
+    EXPECT_EQ(checker_fingerprint(pipe.checker(), levels),
+              checker_fingerprint(reference, levels))
+        << shards;
   }
-  const ShardedOnlineChecker::Result& r = pipe.finish();
-  EXPECT_EQ(r.epochs, 2u);
-  EXPECT_EQ(r.transactions, 2u);
-  EXPECT_TRUE(r.error.empty()) << r.error;
 }
 
-// ---- stream_audit pipelined path -----------------------------------------
+TEST(ShardedOnline, InlineExecutorStartsNoThreads) {
+  ShardedOnlineChecker::Options opts;
+  opts.shards = 0;
+  opts.decoder = parse_decoder;
+  std::uint64_t calls = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  ShardedOnlineChecker pipe(std::move(opts),
+                            [&](const ShardedOnlineChecker::EpochReport& er) {
+                              EXPECT_EQ(std::this_thread::get_id(), caller);
+                              calls = er.epoch;
+                              return true;
+                            });
+  EXPECT_EQ(pipe.shards(), 0u);
+  const auto fuzz = wl::fuzz_observations(4, {.transactions = 3, .keys = 2});
+  const std::vector<Transaction> all = to_vector(fuzz.txns);
+  // The epoch is decoded, appended and reported before submit() returns.
+  EXPECT_TRUE(pipe.submit({block_of(all[0], 1), block_of(all[1], 5)}));
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(pipe.checker().size(), 2u);
+  const ShardedOnlineChecker::Result& r = pipe.finish();
+  EXPECT_EQ(r.epochs, 1u);
+  EXPECT_EQ(r.transactions, 2u);
+}
+
+// ---- stream_audit across ingest_threads ---------------------------------
 
 report::StreamAuditResult audit_text(const std::string& text,
                                      std::size_t ingest_threads,
@@ -466,7 +488,7 @@ TEST(ShardedStreamAudit, PipelinedMatchesSerialOnFuzzedStreams) {
     std::string serial_forensics;
     const report::StreamAuditResult serial =
         audit_text(text, 0, &serial_forensics);
-    for (std::size_t threads : kShardCounts) {
+    for (std::size_t threads : kIngestThreads) {
       std::string piped_forensics;
       const report::StreamAuditResult piped =
           audit_text(text, threads, &piped_forensics);
@@ -491,7 +513,7 @@ TEST(ShardedStreamAudit, ParseAndStreamErrorsMatchSerial) {
   for (const std::string& text : {parse_error, stream_error, error_before_vo}) {
     const report::StreamAuditResult serial = audit_text(text, 0);
     ASSERT_FALSE(serial.error.empty());
-    for (std::size_t threads : kShardCounts) {
+    for (std::size_t threads : kIngestThreads) {
       const report::StreamAuditResult piped = audit_text(text, threads);
       expect_audits_identical(serial, piped,
                               "threads " + std::to_string(threads));
@@ -510,7 +532,7 @@ TEST(ShardedStreamAudit, DefaultLevelDirectiveAppliesToLaterBlocks) {
   const report::StreamAuditResult serial = audit_text(text, 0);
   EXPECT_TRUE(serial.error.empty()) << serial.error;
   EXPECT_EQ(serial.transactions, 2u);
-  for (std::size_t threads : kShardCounts) {
+  for (std::size_t threads : kIngestThreads) {
     const report::StreamAuditResult piped = audit_text(text, threads);
     expect_audits_identical(serial, piped, std::to_string(threads));
   }
@@ -531,7 +553,7 @@ TEST(ShardedStreamAudit, MaxBlocksMatchesSerial) {
   const std::string text = report::to_text(obs);
   const report::StreamAuditResult serial = audit_text(text, 0, nullptr, 1);
   EXPECT_EQ(serial.blocks, 1u);
-  for (std::size_t threads : kShardCounts) {
+  for (std::size_t threads : kIngestThreads) {
     const report::StreamAuditResult piped = audit_text(text, threads, nullptr, 1);
     expect_audits_identical(serial, piped, std::to_string(threads));
   }

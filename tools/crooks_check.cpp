@@ -46,13 +46,14 @@
 //                    crooks_online_past_window_* metrics)
 //   --window-bytes=B [follow] same, but bound the resident-memory estimate in
 //                    bytes; combines with --window (tighter limit wins)
-//   --ingest-threads=N  [follow] pipelined ingest: N session-sharded workers
-//                    decode transaction blocks in parallel while a merge
-//                    thread runs the one authoritative checker, overlapping
-//                    parse with check (checker::ShardedOnlineChecker).
+//   --ingest-threads=N  [follow] executor of the ingest pipeline
+//                    (checker::ShardedOnlineChecker). 0 (default) runs it
+//                    inline on the reader thread; N >= 1 has N
+//                    session-sharded workers decode transaction blocks in
+//                    parallel while a merge thread runs the one
+//                    authoritative checker, overlapping parse with check.
 //                    Verdicts, witnesses, counters and forensics output are
-//                    byte-identical to the serial path at every N; only
-//                    wall-clock changes. 0 (default) = serial ingest
+//                    byte-identical at every N; only wall-clock changes
 //   --metrics[=FILE] after the audit, dump the metrics registry in Prometheus
 //                    text exposition format to FILE (stdout if omitted)
 //   --metrics-json=FILE  same scrape as one JSON object
