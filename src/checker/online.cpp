@@ -143,8 +143,8 @@ OnlineChecker::OnlineChecker(std::vector<IsolationLevel> levels) {
 
 OnlineChecker::OnlineChecker(TrackAssignedTag, IsolationLevel fallback)
     : assigned_mode_(true), assigned_fallback_(fallback) {
-  // A later block may annotate any level, so the weak-only direct path (and
-  // its skipped PREC/interval bookkeeping) is never safe here.
+  // A later block may annotate any level, so the interval ends are never
+  // safe to skip here.
   weak_only_ = false;
 }
 
@@ -233,13 +233,6 @@ std::size_t OnlineChecker::append_all(const model::TransactionSet& txns) {
   return append_all(std::span<const Transaction>(block));
 }
 
-std::size_t OnlineChecker::append_all(const model::CompiledHistory& ch) {
-  std::vector<Transaction> block;
-  block.reserve(ch.size());
-  for (TxnIdx d = 0; d < ch.size(); ++d) block.push_back(ch.txns().at(d));
-  return append_all(std::span<const Transaction>(block));
-}
-
 void OnlineChecker::ingest(const model::CompiledDelta& delta) {
   obs::TraceSpan span("online.ingest");
   obs::ScopedTimer timer(online_block_seconds());
@@ -258,213 +251,20 @@ void OnlineChecker::ingest(const model::CompiledDelta& delta) {
   timelines_.resize(stream_.key_count());
   max_dropped_pos_.resize(stream_.key_count(), 0);
 
-  if (weak_only_) {
-    // Every tracked level decides on read-state starts alone — skip the
-    // per-op interval construction entirely.
-    for (TxnIdx d = delta.first; d < delta.first + delta.count; ++d) {
-      ingest_weak_txn(d);
-    }
-    maybe_retire();
-    return;
-  }
-
   // Evaluate the block's transactions one by one in dense (= apply) order:
   // when transaction d is evaluated only [0, d) is installed, so "has the
   // observed writer been applied yet" is the dense compare `writer < d` —
   // exact for prefix writers, earlier block members, and intra-block forward
   // references alike.
   for (TxnIdx d = delta.first; d < delta.first + delta.count; ++d) {
-    Placed p;
-    p.state = static_cast<StateIndex>(d) + 1;
-    const StateIndex parent = p.state - 1;
-    const model::OpsView cops = stream_.ops(d);
-    stats_.ops_evaluated += cops.size();
-    p.ops.reserve(cops.size());
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0) {
-        p.ops.push_back({{0, parent}, false});
-        continue;
-      }
-      if ((m & model::kOpPhantom) != 0) {
-        p.ops.push_back({{0, -1}, false});
-        continue;
-      }
-      if ((m & model::kOpPositionalInternal) != 0) {
-        p.ops.push_back((m & model::kOpSelfWriter) != 0
-                            ? OpView{{0, parent}, true}
-                            : OpView{{0, -1}, true});
-        continue;
-      }
-      if ((m & model::kOpSelfWriter) != 0) {
-        p.ops.push_back({{0, -1}, false});
-        continue;
-      }
-      StateIndex version_pos = 0;
-      if ((m & model::kOpInitWriter) == 0) {
-        if ((m & (model::kOpUnknownWriter | model::kOpWriterMissesKey)) != 0 ||
-            cops.writer(i) >= d) {  // writer not applied yet: reads from the future
-          p.ops.push_back({{0, -1}, false});
-          continue;
-        }
-        version_pos = static_cast<StateIndex>(cops.writer(i)) + 1;
-      }
-      const model::KeyIdx k = cops.key(i);
-      // Folds drop a key's inner retired versions. A read at or above the
-      // largest dropped position reconstructs its interval exactly from the
-      // kept entries; below it the true next-write may be gone, the interval
-      // comes out too permissive, and every downstream clause errs on the
-      // lenient side — count the one-sided evaluation.
-      if (version_pos < max_dropped_pos_[k]) {
-        ++stats_.past_window_reads;
-        if (obs::enabled()) online_past_reads_total().inc();
-      }
-      const auto* tl = timeline_of(k);
-      StateIndex next_write = parent + 2;
-      if (tl != nullptr) {
-        auto it = std::upper_bound(
-            tl->begin(), tl->end(), version_pos,
-            [](StateIndex v, const auto& en) { return v < en.first; });
-        if (it != tl->end()) next_write = it->first;
-      }
-      p.ops.push_back({{version_pos, std::min(next_write - 1, parent)}, false});
-    }
-
-    commit_placed(d, std::move(p));
+    commit_placed(d);
   }
   maybe_retire();
 }
 
-void OnlineChecker::ingest_weak_txn(TxnIdx d) {
-  const model::OpsView cops = stream_.ops(d);
-  stats_.ops_evaluated += cops.size();
-  ++stats_.direct_appends;
-
-  // Per-op read-state starts from flags and dense compares alone. The start
-  // is exactly `rs.first` of the general path: 0 for writes, phantoms,
-  // internals, and initial-version reads; writer+1 for applied member
-  // writers. PREREAD emptiness is likewise a flags fact — an applied member
-  // version's interval {writer+1, min(next_write-1, parent)} is never empty
-  // (upper_bound guarantees next_write > writer+1 and writer < d gives
-  // writer+1 ≤ parent), and the initial version's {0, ...} always admits 0.
-  weak_firsts_.assign(cops.size(), 0);
-  bool preread = true;
-  for (std::size_t i = 0; i < cops.size(); ++i) {
-    const std::uint8_t m = cops.flags(i);
-    if ((m & model::kOpWrite) != 0) continue;
-    if ((m & model::kOpPhantom) != 0) {
-      preread = false;
-      continue;
-    }
-    if ((m & model::kOpPositionalInternal) != 0) {
-      if ((m & model::kOpSelfWriter) == 0) preread = false;
-      continue;
-    }
-    if ((m & model::kOpSelfWriter) != 0) {
-      preread = false;
-      continue;
-    }
-    if ((m & model::kOpInitWriter) != 0) continue;
-    if ((m & (model::kOpUnknownWriter | model::kOpWriterMissesKey)) != 0 ||
-        cops.writer(i) >= d) {  // writer not applied yet: reads from the future
-      preread = false;
-      continue;
-    }
-    weak_firsts_[i] = static_cast<StateIndex>(cops.writer(i)) + 1;
-  }
-
-  if (!preread) {
-    for (IsolationLevel l : {IsolationLevel::kReadCommitted, IsolationLevel::kReadAtomic,
-                             IsolationLevel::kPSI}) {
-      if (tracking(l)) violate(l, d, "PREREAD fails in the apply order");
-    }
-  }
-
-  // Fractured reads (RA) — identical filters and iteration order to the
-  // general path, with rs.first read from the scratch array.
-  if (tracking(IsolationLevel::kReadAtomic) && preread) {
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m1 = cops.flags(i);
-      if ((m1 & model::kOpWrite) != 0 || cops.internal(i) ||
-          (m1 & model::kOpInitWriter) != 0) {
-        continue;
-      }
-      const TxnIdx w1 = cops.writer(i);
-      if (w1 == model::kNoTxnIdx || w1 >= d) continue;  // not applied
-      for (std::size_t j = 0; j < cops.size(); ++j) {
-        if (cops.is_write(j) || cops.internal(j)) continue;
-        if (stream_.writes_key(w1, cops.key(j)) &&
-            weak_firsts_[i] > weak_firsts_[j]) {
-          violate(IsolationLevel::kReadAtomic, d,
-                  "fractured read across " + crooks::to_string(stream_.id_of(w1)) +
-                      "'s writes",
-                  w1);
-        }
-      }
-    }
-  }
-
+void OnlineChecker::commit_placed(TxnIdx d) {
   Placed p;
   p.state = static_cast<StateIndex>(d) + 1;
-
-  // CAUS-VIS (PSI). Under PREREAD every surviving read is of the initial or
-  // an applied member version, whose interval start decides timeline
-  // visibility: entry pos > rs.last ⟺ pos > rs.first, because entries at
-  // pos ≤ rs.last are exactly those at pos ≤ rs.first (upper_bound picks the
-  // first entry past the version) and no installed entry exceeds parent.
-  if (tracking(IsolationLevel::kPSI) && preread) {
-    p.prec.recent.grow(static_cast<std::size_t>(d) - prec_origin_ + 1);
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0 || cops.internal(i) ||
-          (m & model::kOpInitWriter) != 0) {
-        continue;
-      }
-      const TxnIdx w = cops.writer(i);
-      if (w != model::kNoTxnIdx && w < d) prec_absorb(p, w);
-    }
-    for (model::KeyIdx k : stream_.write_keys(d)) {
-      if (const auto* tl = timeline_of(k)) {
-        for (const auto& [pos, slot] : *tl) prec_absorb(p, slot);
-      }
-    }
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      if (cops.is_write(i) || cops.internal(i)) continue;
-      const model::KeyIdx k = cops.key(i);
-      // Dropped versions above this read's start may hide a missed write:
-      // one-sided, counted (same rule as the general path's intervals).
-      if (weak_firsts_[i] < max_dropped_pos_[k]) {
-        ++stats_.past_window_reads;
-        if (obs::enabled()) online_past_reads_total().inc();
-      }
-      if (const auto* tl = timeline_of(k)) {
-        for (const auto& [pos, slot] : *tl) {
-          if (pos > weak_firsts_[i] && prec_test(p, slot)) {
-            violate(IsolationLevel::kPSI, d,
-                    "CAUS-VIS fails: misses " +
-                        crooks::to_string(stream_.id_of(static_cast<TxnIdx>(slot))) +
-                        "'s write to " +
-                        crooks::to_string(stream_.keys().key_of(k)),
-                    static_cast<TxnIdx>(slot));
-          }
-        }
-      }
-    }
-  }
-
-  // Install — the tail of commit_placed. Retroactive inversions touch only
-  // the timed levels, which a weak-only checker never tracks.
-  for (model::KeyIdx k : stream_.write_keys(d)) {
-    timelines_[k].emplace_back(p.state, static_cast<std::size_t>(d));
-  }
-  const SessionId s = stream_.session(d);
-  if (s != kNoSession) session_states_[s].states.push_back(p.state);
-  max_start_applied_ = std::max(max_start_applied_, stream_.start_ts(d));
-  placed_bytes_ += placed_bytes(p);
-  txns_.push_back(std::move(p));
-}
-
-void OnlineChecker::commit_placed(TxnIdx d, Placed p) {
   evaluate_new(d, p);
   if (assigned_mode_) {
     applied_mask_ |= static_cast<std::uint16_t>(
@@ -486,16 +286,76 @@ void OnlineChecker::commit_placed(TxnIdx d, Placed p) {
 void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
   const StateIndex parent = p.state - 1;
   const model::OpsView cops = stream_.ops(d);
+  stats_.ops_evaluated += cops.size();
+  if (weak_only_) ++stats_.direct_appends;
   // Assigned mode evaluates exactly the transaction's own level: tracking()
   // reads current_level_ for the rest of this call.
   if (assigned_mode_) current_level_ = assigned_level_of(d);
 
+  // Read states, from flags and dense compares. Each op's read-state start
+  // goes to starts_: 0 for writes, phantoms, internals and initial-version
+  // reads, writer+1 for a read of an applied member version. PREREAD fails
+  // exactly on the ops whose read state is empty — phantoms, self reads
+  // other than a positional read of an own write, and unknown or
+  // not-yet-applied writers. An applied member version's interval
+  // {writer+1, min(next_write-1, parent)} is never empty (upper_bound gives
+  // next_write > writer+1, and writer < d gives writer+1 ≤ parent), and the
+  // initial version's always admits 0. The interval END only bounds
+  // COMPLETE, which RC, RA and PSI never consult, so a weak-only checker
+  // skips its timeline search.
+  starts_.assign(cops.size(), 0);
   bool preread = true;
   StateIndex complete_lo = 0, complete_hi = parent;
-  for (const OpView& o : p.ops) {
-    if (o.rs.empty()) preread = false;
-    complete_lo = std::max(complete_lo, o.rs.first);
-    complete_hi = std::min(complete_hi, o.rs.last);
+  std::uint64_t lossy_reads = 0;
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    const std::uint8_t m = cops.flags(i);
+    if ((m & model::kOpWrite) != 0) continue;
+    if ((m & model::kOpPhantom) != 0) {
+      preread = false;
+      continue;
+    }
+    if ((m & model::kOpPositionalInternal) != 0) {
+      if ((m & model::kOpSelfWriter) == 0) preread = false;
+      continue;
+    }
+    if ((m & model::kOpSelfWriter) != 0) {
+      preread = false;
+      continue;
+    }
+    StateIndex version_pos = 0;
+    if ((m & model::kOpInitWriter) == 0) {
+      if ((m & (model::kOpUnknownWriter | model::kOpWriterMissesKey)) != 0 ||
+          cops.writer(i) >= d) {  // writer not applied yet: reads from the future
+        preread = false;
+        continue;
+      }
+      version_pos = static_cast<StateIndex>(cops.writer(i)) + 1;
+    }
+    starts_[i] = version_pos;
+    complete_lo = std::max(complete_lo, version_pos);
+    const model::KeyIdx k = cops.key(i);
+    // Folds drop a key's inner retired versions. A read at or above the
+    // largest dropped position reconstructs its interval exactly from the
+    // kept entries; below it the true next-write may be gone, the interval
+    // comes out too permissive, and every downstream clause errs on the
+    // lenient side — a one-sided evaluation, counted below.
+    if (version_pos < max_dropped_pos_[k]) ++lossy_reads;
+    if (weak_only_) continue;
+    if (const auto* tl = timeline_of(k)) {
+      auto it = std::upper_bound(
+          tl->begin(), tl->end(), version_pos,
+          [](StateIndex v, const auto& en) { return v < en.first; });
+      if (it != tl->end()) complete_hi = std::min(complete_hi, it->first - 1);
+    }
+  }
+  // An empty read state leaves no complete state.
+  if (!preread) complete_hi = -1;
+  // Without interval ends, only the CAUS-VIS timeline walk below can read
+  // past a version a fold dropped.
+  if (lossy_reads != 0 &&
+      (!weak_only_ || (preread && tracking(IsolationLevel::kPSI)))) {
+    stats_.past_window_reads += lossy_reads;
+    if (obs::enabled()) online_past_reads_total().inc(lossy_reads);
   }
 
   if (!preread) {
@@ -509,16 +369,15 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
   if (tracking(IsolationLevel::kReadAtomic) && preread) {
     for (std::size_t i = 0; i < cops.size(); ++i) {
       const std::uint8_t m1 = cops.flags(i);
-      if ((m1 & model::kOpWrite) != 0 || p.ops[i].internal ||
+      if ((m1 & model::kOpWrite) != 0 || cops.internal(i) ||
           (m1 & model::kOpInitWriter) != 0) {
         continue;
       }
       const TxnIdx w1 = cops.writer(i);
       if (w1 == model::kNoTxnIdx || w1 >= d) continue;  // not applied
       for (std::size_t j = 0; j < cops.size(); ++j) {
-        if (cops.is_write(j) || p.ops[j].internal) continue;
-        if (stream_.writes_key(w1, cops.key(j)) &&
-            p.ops[i].rs.first > p.ops[j].rs.first) {
+        if (cops.is_write(j) || cops.internal(j)) continue;
+        if (stream_.writes_key(w1, cops.key(j)) && starts_[i] > starts_[j]) {
           violate(IsolationLevel::kReadAtomic, d,
                   "fractured read across " + crooks::to_string(stream_.id_of(w1)) +
                       "'s writes",
@@ -536,7 +395,7 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
     p.prec.recent.grow(static_cast<std::size_t>(d) - prec_origin_ + 1);
     for (std::size_t i = 0; i < cops.size(); ++i) {
       const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0 || p.ops[i].internal ||
+      if ((m & model::kOpWrite) != 0 || cops.internal(i) ||
           (m & model::kOpInitWriter) != 0) {
         continue;
       }
@@ -549,13 +408,17 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
       }
     }
     // The visibility check itself applies only when THIS transaction runs
-    // at PSI.
+    // at PSI. Under PREREAD every surviving read is of the initial or an
+    // applied member version, and a timeline entry lies past its read state
+    // iff it lies past its start: pos > rs.last ⟺ pos > rs.first, because
+    // upper_bound picks the first entry past the version and no installed
+    // entry exceeds parent.
     if (tracking(IsolationLevel::kPSI)) {
       for (std::size_t i = 0; i < cops.size(); ++i) {
-        if (cops.is_write(i) || p.ops[i].internal) continue;
+        if (cops.is_write(i) || cops.internal(i)) continue;
         if (const auto* tl = timeline_of(cops.key(i))) {
           for (const auto& [pos, slot] : *tl) {
-            if (pos > p.ops[i].rs.last && prec_test(p, slot)) {
+            if (pos > starts_[i] && prec_test(p, slot)) {
               violate(IsolationLevel::kPSI, d,
                       "CAUS-VIS fails: misses " +
                           crooks::to_string(stream_.id_of(static_cast<TxnIdx>(slot))) +
@@ -568,6 +431,10 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
       }
     }
   }
+
+  // Only COMPLETE and NO-CONF remain: the clauses of SER and the SI family,
+  // none of which a weak-only checker tracks.
+  if (weak_only_) return;
 
   // Serializability: the parent state must be complete.
   const bool parent_complete = complete_lo <= parent && complete_hi >= parent;
@@ -890,55 +757,22 @@ void OnlineChecker::check_retroactive_inversions(TxnIdx d) {
   // on a monotone stream (the common case) this skips the O(n) scan entirely.
   if (!(commit_d < max_start_applied_)) return;
 
-  const TxnId late_id = stream_.id_of(d);
-  const SessionId late_session = stream_.session(d);
-
-  if (assigned_mode_) {
-    // An inversion hits the applied transaction q at q's OWN level, so the
-    // dispatch is per q, not per tracked level. applied_mask_ skips the scan
-    // when no applied transaction holds a real-time/session clause.
-    if (!assigned_status_.ok) return;
-    auto bit = [](IsolationLevel l) {
-      return static_cast<std::uint16_t>(1u << static_cast<unsigned>(l));
-    };
-    if ((applied_mask_ & (bit(IsolationLevel::kStrictSerializable) |
-                          bit(IsolationLevel::kStrongSI) |
-                          bit(IsolationLevel::kSessionSI))) == 0) {
-      return;
+  // Which levels is applied transaction q held to? Uniform mode: every
+  // tracked level. Assigned mode: q's own level only, so an inversion hits q
+  // at the level q ran at.
+  auto held = [&](IsolationLevel level, TxnIdx q) {
+    return assigned_mode_ ? assigned_level_of(q) == level
+                          : statuses_.contains(level);
+  };
+  // Skip the scan when no real-time/session clause is still live: in
+  // assigned mode applied_mask_ says whether any applied transaction holds
+  // one at all.
+  auto live = [&](IsolationLevel level) {
+    if (assigned_mode_) {
+      return assigned_status_.ok &&
+             (applied_mask_ & (1u << static_cast<unsigned>(level))) != 0;
     }
-    // Scan the WHOLE applied stream, retired prefix included: timestamps,
-    // sessions, ids and level tags are retained columns, so retroactive
-    // inversions stay exact past the watermark.
-    for (TxnIdx q = 0; q < d; ++q) {
-      const IsolationLevel lq = assigned_level_of(q);
-      if (lq != IsolationLevel::kStrictSerializable &&
-          lq != IsolationLevel::kStrongSI && lq != IsolationLevel::kSessionSI) {
-        continue;
-      }
-      if (!stream_.time_precedes(d, q)) continue;
-      if (lq == IsolationLevel::kStrictSerializable) {
-        violate(lq, q,
-                "real-time predecessor " + crooks::to_string(late_id) +
-                    " was applied after it",
-                d);
-      } else if (lq == IsolationLevel::kStrongSI) {
-        violate(lq, q,
-                "snapshot misses " + crooks::to_string(late_id) +
-                    ", which committed before it started",
-                d);
-      } else if (stream_.session(q) != kNoSession &&
-                 stream_.session(q) == late_session) {
-        violate(lq, q,
-                "session predecessor " + crooks::to_string(late_id) +
-                    " was applied after it",
-                d);
-      }
-    }
-    return;
-  }
-
-  auto live = [&](IsolationLevel l) {
-    auto it = statuses_.find(l);
+    auto it = statuses_.find(level);
     return it != statuses_.end() && it->second.ok;
   };
   if (!live(IsolationLevel::kStrictSerializable) && !live(IsolationLevel::kStrongSI) &&
@@ -946,22 +780,26 @@ void OnlineChecker::check_retroactive_inversions(TxnIdx d) {
     return;
   }
 
-  // As above: the scan runs over retained columns, exact past the watermark.
+  const TxnId late_id = stream_.id_of(d);
+  const SessionId late_session = stream_.session(d);
+  // Scan the WHOLE applied stream, retired prefix included: timestamps,
+  // sessions, ids and level tags are retained columns, so retroactive
+  // inversions stay exact past the watermark.
   for (TxnIdx q = 0; q < d; ++q) {
     if (!stream_.time_precedes(d, q)) continue;
-    if (tracking(IsolationLevel::kStrictSerializable)) {
+    if (held(IsolationLevel::kStrictSerializable, q)) {
       violate(IsolationLevel::kStrictSerializable, q,
               "real-time predecessor " + crooks::to_string(late_id) +
                   " was applied after it",
               d);
     }
-    if (tracking(IsolationLevel::kStrongSI)) {
+    if (held(IsolationLevel::kStrongSI, q)) {
       violate(IsolationLevel::kStrongSI, q,
               "snapshot misses " + crooks::to_string(late_id) +
                   ", which committed before it started",
               d);
     }
-    if (tracking(IsolationLevel::kSessionSI) && stream_.session(q) != kNoSession &&
+    if (held(IsolationLevel::kSessionSI, q) && stream_.session(q) != kNoSession &&
         stream_.session(q) == late_session) {
       violate(IsolationLevel::kSessionSI, q,
               "session predecessor " + crooks::to_string(late_id) +

@@ -17,6 +17,11 @@
 // integer compare, phantom/internal/unknown-writer branches are precomputed
 // flags, and the real-time recency clauses use the monotone commit order the
 // timed levels themselves enforce (binary search instead of an O(n) scan).
+// Every transaction, at every tracked level set, takes one evaluation path:
+// a flags pass yields PREREAD and each op's read-state start, which is all
+// RC, RA and PSI consult. The read-state interval ends (a per-read timeline
+// binary search) bound only COMPLETE, which SER and the SI family test, so a
+// checker tracking nothing stronger than PSI skips them.
 // There is no hashed fallback path; stats().hashed_fallback_appends exists
 // purely as a regression tripwire (asserted == 0 by the differential suite
 // and by CI's bench gate). The frozen per-transaction hashed monitor lives in
@@ -67,12 +72,12 @@ class OnlineChecker {
   /// `level=` annotation (falling back to `fallback` when unannotated) and
   /// maintain ONE status — the streaming analogue of
   /// ct::test_execution(LevelAssignment, ...). Because a later block may
-  /// annotate any level, this mode always takes the general ingest path
-  /// (never the weak-only direct path), builds every transaction's PREC set
-  /// (a future PSI-level transaction needs its predecessors' closures), and
-  /// drops the sorted-commit-prefix shortcut of the timed recency clauses —
-  /// untimed transactions interleave freely, so real-time predecessors are
-  /// found by scan instead of binary search.
+  /// annotate any level, this mode always computes the read-state interval
+  /// ends, builds every transaction's PREC set (a future PSI-level
+  /// transaction needs its predecessors' closures), and drops the
+  /// sorted-commit-prefix shortcut of the timed recency clauses — untimed
+  /// transactions interleave freely, so real-time predecessors are found by
+  /// scan instead of binary search.
   /// Construct as: OnlineChecker c(OnlineChecker::kTrackAssigned, fallback);
   /// (A tag, not a one-member options struct: a braced {level} argument must
   /// keep meaning "track exactly this level" via the vector constructor.)
@@ -123,10 +128,11 @@ class OnlineChecker {
   std::size_t resident_txns() const { return txns_.size(); }
   /// Compiled operations currently resident in the stream.
   std::size_t resident_ops() const { return stream_.resident_ops(); }
-  /// Rough resident-footprint estimate in bytes (placed state + compiled
-  /// rows + transaction payloads). Drives the max_resident_bytes limit; the
-  /// retained per-transaction summary columns (~100 B/txn, grow with the
-  /// whole stream) are intentionally excluded — a window cannot bound them.
+  /// Rough resident-footprint estimate in bytes (placed state, i.e. state
+  /// index and PREC closure, + compiled rows + transaction payloads). Drives
+  /// the max_resident_bytes limit; the retained per-transaction summary
+  /// columns (~100 B/txn, grow with the whole stream) are intentionally
+  /// excluded — a window cannot bound them.
   std::size_t resident_bytes() const {
     return placed_bytes_ + txns_.size() * kTxnBytesEst +
            stream_.resident_ops() * kOpBytesEst;
@@ -150,10 +156,10 @@ class OnlineChecker {
     /// analogue of CheckResult::nodes_explored, so the streaming monitor's
     /// effort is comparable with the offline engines' on one dashboard.
     std::uint64_t ops_evaluated = 0;
-    /// Transactions evaluated on the weak-level direct path (every tracked
-    /// level in {RU, RC, RA, PSI}): no timeline binary searches, no per-op
-    /// interval storage. Equals compiled_appends on a weak-only checker and
-    /// 0 when any stronger level is tracked.
+    /// Transactions evaluated without read-state interval ends (every
+    /// tracked level in {RU, RC, RA, PSI}): no per-read timeline binary
+    /// search. Equals compiled_appends on a weak-only checker and 0 when any
+    /// stronger level is tracked.
     std::uint64_t direct_appends = 0;
     // --- Windowed mode (all 0 when no window is set) ---
     std::uint64_t retired_txns = 0;  // transactions folded past the watermark
@@ -181,10 +187,6 @@ class OnlineChecker {
   /// is evaluated on compiled ops; there is no fallback to the hashed path.
   std::size_t append_all(std::span<const model::Transaction> block);
   std::size_t append_all(const model::TransactionSet& txns);
-  /// Compatibility overload: audits ch's transactions in dense order. The
-  /// checker re-compiles them into its own stream (ch's dense indices need
-  /// not match the stream's).
-  std::size_t append_all(const model::CompiledHistory& ch);
 
   const LevelStatus& status(ct::IsolationLevel level) const;
   bool all_ok() const;
@@ -222,11 +224,6 @@ class OnlineChecker {
   }
 
  private:
-  struct OpView {
-    StateInterval rs;
-    bool internal = false;
-  };
-
   /// A PREC closure that survives window folds. `recent` is a bitset over
   /// slots ≥ prec_origin_ (bit i ⇔ slot prec_origin_ + i); `old` is a small
   /// sorted vector of retired BASE slots below the origin — the only retired
@@ -241,7 +238,6 @@ class OnlineChecker {
 
   struct Placed {
     StateIndex state = 0;  // 1-based; == dense index + 1
-    std::vector<OpView> ops;
     PrecSet prec;  // populated only when PSI is tracked (or assigned mode)
   };
 
@@ -279,21 +275,16 @@ class OnlineChecker {
   void violate(ct::IsolationLevel level, model::TxnIdx d, std::string why,
                model::TxnIdx other = model::kNoTxnIdx);
 
-  /// Shared tail of every append path: compute the read-state views of the
-  /// block's transactions against the stream prefix, evaluate their commit
-  /// tests, and install them (timelines, session index, recency maxima).
+  /// Shared tail of every append path: evaluate the block's transactions
+  /// against the stream prefix in apply order and install them (timelines,
+  /// session index, recency maxima), then retire past the window.
   void ingest(const model::CompiledDelta& delta);
-  /// Weak-level direct path, taken when every tracked level is in
-  /// {RU, RC, RA, PSI}. For those levels only the read-state *start* of each
-  /// op matters: PREREAD emptiness is a pure flags/dense-index fact (a member
-  /// version's interval is never empty), the RA fracture compares rs.first,
-  /// and on a timeline entry `pos > rs.last` ⟺ `pos > rs.first`. So the
-  /// per-op timeline binary search and interval storage both disappear;
-  /// verdicts and explanations are byte-identical to the general path.
-  void ingest_weak_txn(model::TxnIdx d);
+  /// Run d's commit tests for every level it is held to, filling p's PREC
+  /// closure when one is needed.
   void evaluate_new(model::TxnIdx d, Placed& p);
   void check_retroactive_inversions(model::TxnIdx d);
-  void commit_placed(model::TxnIdx d, Placed p);
+  /// Evaluate d, check the real-time clauses it may invert, and install it.
+  void commit_placed(model::TxnIdx d);
 
   // --- Windowing ---
   /// Placed record of dense slot s (must be resident: s ≥ watermark()).
@@ -325,8 +316,7 @@ class OnlineChecker {
   void prec_absorb(Placed& p, std::size_t slot);
   /// Rough per-Placed footprint, for the max_resident_bytes estimate.
   static std::size_t placed_bytes(const Placed& p) {
-    return sizeof(Placed) + p.ops.capacity() * sizeof(OpView) +
-           (p.prec.recent.size() + 7) / 8 +
+    return sizeof(Placed) + (p.prec.recent.size() + 7) / 8 +
            p.prec.old.capacity() * sizeof(std::size_t);
   }
   /// End-of-ingest hook: decide a watermark (resident excess, clamped so no
@@ -373,7 +363,7 @@ class OnlineChecker {
   // real-time clause iff some applied transaction started after it committed.
   Timestamp max_start_applied_ = kNoTimestamp;
   // True when every tracked level is untimed-weak (RU/RC/RA/PSI): fixed at
-  // construction, routes ingest() to the direct per-transaction path.
+  // construction; evaluate_new then skips the read-state interval ends.
   bool weak_only_ = false;
   // --- Assigned (mixed-level) mode, set by track_assigned() ---
   bool assigned_mode_ = false;
@@ -385,9 +375,9 @@ class OnlineChecker {
   // retroactive-inversion pass exit early when no applied transaction holds
   // a real-time/session clause.
   std::uint16_t applied_mask_ = 0;
-  // Scratch: per-op read-state starts for the transaction being ingested on
-  // the weak path (reused across transactions to avoid reallocation).
-  std::vector<StateIndex> weak_firsts_;
+  // Scratch: per-op read-state starts of the transaction in evaluate_new
+  // (reused across transactions to avoid reallocation).
+  std::vector<StateIndex> starts_;
   // Scratch for append_all's duplicate filter (a monitor appends for days;
   // one hash table outlives every batch instead of one allocation per batch).
   std::unordered_set<TxnId> append_seen_;

@@ -78,6 +78,10 @@ Observations parse_observations(std::istream& in) {
       if (tok.size() < 2) fail(lineno, "txn needs an id");
       open = true;
       id = TxnId{parse_number<std::uint64_t>(tok[1], lineno, "txn id")};
+      if (id == kInitTxn) {
+        fail(lineno, "reserved txn id: '" + std::string(tok[1]) +
+                         "' (the writer of the initial state)");
+      }
       session = kNoSession;
       site = SiteId{0};
       start = commit = kNoTimestamp;
@@ -103,6 +107,12 @@ Observations parse_observations(std::istream& in) {
         } else {
           fail(lineno, "unknown attribute '" + std::string(key) + "'");
         }
+      }
+      // A transaction that commits before it starts real-time-precedes
+      // itself: every timed level would refute it on malformed input.
+      if (start != kNoTimestamp && commit != kNoTimestamp && start > commit) {
+        fail(lineno, "start=" + std::to_string(start) + " is after commit=" +
+                         std::to_string(commit));
       }
     } else if (tok[0] == "read") {
       if (!open) fail(lineno, "'read' outside a transaction");

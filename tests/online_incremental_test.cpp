@@ -83,6 +83,40 @@ std::vector<std::vector<Transaction>> interesting_streams() {
   return streams;
 }
 
+/// A read-latest stream over a few keys, sessions round-robin, monotone
+/// timestamps. After `clean` transactions, each read sees, with probability
+/// `p_stale`, a version about 100 transactions old: behind a small window's
+/// dropped versions, and typically a late RA or PSI violation.
+std::vector<Transaction> stale_read_stream(std::uint64_t seed, std::size_t n,
+                                           std::size_t clean, double p_stale) {
+  constexpr std::size_t kKeys = 6;
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution stale(p_stale);
+  std::vector<std::vector<std::uint64_t>> writers(kKeys);  // per key, in order
+  std::vector<Transaction> all;
+  for (std::uint64_t id = 1; id <= n; ++id) {
+    TxnBuilder b(id);
+    const std::size_t r1 = rng() % kKeys, r2 = (r1 + 1 + rng() % (kKeys - 1)) % kKeys;
+    for (std::size_t k : {r1, r2}) {
+      const std::vector<std::uint64_t>& w = writers[k];
+      std::uint64_t seen = w.empty() ? 0 : w.back();
+      if (id > clean && w.size() > 20 && stale(rng)) seen = w[w.size() - 18];
+      b.read(Key{k}, TxnId{seen});
+    }
+    // One or two writes, so a later read pair can fracture across them.
+    const std::size_t w1 = rng() % kKeys, w2 = (w1 + 1) % kKeys;
+    for (std::size_t k : {w1, w2}) {
+      if (k == w2 && rng() % 2 == 0) break;
+      b.write(Key{k});
+      writers[k].push_back(id);
+    }
+    b.session(SessionId{static_cast<std::uint32_t>(id % 4)})
+        .at(static_cast<Timestamp>(2 * id), static_cast<Timestamp>(2 * id + 1));
+    all.push_back(b.build());
+  }
+  return all;
+}
+
 /// Split [0, n) into random-sized consecutive blocks (sizes 1..max_block).
 std::vector<std::size_t> random_cuts(std::size_t n, std::size_t max_block,
                                      std::mt19937_64& rng) {
@@ -286,8 +320,8 @@ TEST(OnlineIncremental, AgreesWithHashedOracleOnAnyInterleaving) {
 }
 
 TEST(OnlineIncremental, WeakOnlyDirectPathMatchesGeneralAndHashedOracle) {
-  // A checker tracking only the untimed-weak levels takes the direct ingest
-  // path (no per-op intervals, no timeline searches). Differentially: under
+  // A checker tracking only the untimed-weak levels skips the read-state
+  // interval ends (no per-read timeline search). Differentially: under
   // random block interleavings — including duplicate re-appends of an
   // already-streamed block — it must agree per level, byte for byte, with
   // both the general-path checker and the frozen hashed monitor.
@@ -333,6 +367,42 @@ TEST(OnlineIncremental, WeakOnlyDirectPathMatchesGeneralAndHashedOracle) {
     EXPECT_EQ(direct.stats().hashed_fallback_appends, 0u);
     EXPECT_EQ(general.stats().direct_appends, 0u);
   }
+
+  // Windowed arm: the same pair under one small window, on streams long
+  // enough to fold, so both read past versions a fold dropped. Skipping the
+  // interval ends must not change any weak verdict under folds either.
+  std::vector<std::vector<Transaction>> long_streams;
+  for (std::uint64_t seed : {5u, 19u, 43u}) {
+    long_streams.push_back(stale_read_stream(seed, 600, 100 * seed % 400, 0.03));
+  }
+  std::uniform_int_distribution<std::size_t> wd(1, 24);
+  std::uint64_t lossy_reads = 0;
+  for (const std::vector<Transaction>& all : long_streams) {
+    OnlineChecker direct(weak);
+    OnlineChecker general;
+    direct.set_window({.max_resident_txns = 64});
+    general.set_window({.max_resident_txns = 64});
+    for (std::size_t at = 0; at < all.size();) {
+      const std::size_t take = std::min(all.size() - at, wd(rng));
+      const std::span<const Transaction> block(all.data() + at, take);
+      EXPECT_EQ(direct.append_all(block), take);
+      EXPECT_EQ(general.append_all(block), take);
+      at += take;
+      for (ct::IsolationLevel level : weak) {
+        const auto& got = direct.status(level);
+        const auto& gen = general.status(level);
+        ASSERT_EQ(got.ok, gen.ok)
+            << ct::name_of(level) << " after " << at << " txns, windowed";
+        ASSERT_EQ(got.first_violation, gen.first_violation) << ct::name_of(level);
+        ASSERT_EQ(got.explanation, gen.explanation) << ct::name_of(level);
+      }
+    }
+    lossy_reads += direct.stats().past_window_reads;
+    EXPECT_GT(direct.stats().window_folds, 0u);
+    EXPECT_EQ(direct.stats().window_folds, general.stats().window_folds);
+    EXPECT_EQ(direct.stats().direct_appends, all.size());
+  }
+  EXPECT_GT(lossy_reads, 0u) << "no read reached behind a fold";
 }
 
 TEST(OnlineIncremental, DuplicatesAndReservedIdsIgnored) {

@@ -145,11 +145,11 @@ TEST(Online, AgreesWithBatchOnStoreRuns) {
   }
 }
 
-// ------------------------------------------------------- weak-only direct path
+// ---------------------------------------------------- weak-only interval skip
 //
-// An OnlineChecker tracking only {RU, RC, RA, PSI} takes the direct ingest
-// path: no per-op interval storage, no timeline binary searches. The
-// contract is byte-identical verdicts and explanations to the general path.
+// An OnlineChecker tracking only {RU, RC, RA, PSI} skips the read-state
+// interval ends: no per-read timeline binary search. The contract is
+// byte-identical verdicts and explanations to a checker that computes them.
 
 const std::vector<IsolationLevel>& weak_levels() {
   static const std::vector<IsolationLevel> kWeak{

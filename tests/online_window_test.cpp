@@ -138,8 +138,8 @@ TEST(OnlineWindow, DifferentialAgainstUnwindowedAllLevels) {
 }
 
 TEST(OnlineWindow, DifferentialSingleLevelCheckers) {
-  // Per-level checkers exercise the weak-only direct path (RC/RA/PSI) and
-  // the timed paths separately under the window.
+  // Per-level checkers exercise the weak-only evaluation (RC/RA/PSI, no
+  // interval ends) and the timed paths separately under the window.
   std::mt19937_64 rng(99);
   for (const std::vector<Transaction>& all : interesting_streams()) {
     const auto cuts = random_cuts(all.size(), 5, rng);

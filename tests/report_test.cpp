@@ -180,6 +180,26 @@ TEST(InputContract, RejectsNoTimestampSentinel) {
       "  write 0\nend\n");
 }
 
+TEST(InputContract, RejectsReservedTxnZero) {
+  // Id 0 is the initial-state writer. It used to be rejected only when the
+  // transaction set was built, and the offline message carried no line.
+  expect_rejected("txn 0\n  write 0\nend\n",
+                  "line 1: reserved txn id: '0' (the writer of the initial state)");
+  expect_rejected("txn 00 session=2\nend\n",
+                  "line 1: reserved txn id: '00' (the writer of the initial state)");
+}
+
+TEST(InputContract, RejectsStartAfterCommit) {
+  // Was accepted, and the transaction real-time-preceded itself: a lone
+  // write was reported as a StrongSI violation.
+  expect_rejected("txn 1 start=5 commit=2\n  write 1\nend\n",
+                  "line 1: start=5 is after commit=2");
+  expect_rejected("txn 1 commit=2 start=3\n  write 1\nend\n",
+                  "line 1: start=3 is after commit=2");
+  expect_accepted("txn 1 start=4 commit=4\n  write 1\nend\n");
+  expect_accepted("txn 1 start=5\n  write 1\nend\ntxn 2 commit=2\n  write 1\nend\n");
+}
+
 TEST(InputContract, RejectedInputTableMatchesParser) {
   // Every row of the "Rejected input" table in the format doc: the input
   // line (closed with `end`) must be rejected with exactly the listed error.
@@ -198,7 +218,7 @@ TEST(InputContract, RejectedInputTableMatchesParser) {
     const std::size_t b_end = line.find('`', b);
     rows.emplace_back(line.substr(a, a_end - a), line.substr(b, b_end - b));
   }
-  ASSERT_EQ(rows.size(), 6u);
+  ASSERT_EQ(rows.size(), 8u);
   for (const auto& [input, error] : rows) expect_rejected(input + "\nend\n", error);
 }
 
