@@ -1,7 +1,6 @@
 #include "checker/online.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -116,16 +115,6 @@ void count_violation(ct::IsolationLevel level, SessionId session) {
       .inc();
 }
 
-/// Sorted-vector intersection: keep only elements of v present in `keep`.
-void intersect_sorted(std::vector<std::size_t>& v,
-                      const std::vector<std::size_t>& keep) {
-  std::size_t out = 0;
-  for (std::size_t x : v) {
-    if (std::binary_search(keep.begin(), keep.end(), x)) v[out++] = x;
-  }
-  v.resize(out);
-}
-
 }  // namespace
 
 OnlineChecker::OnlineChecker(std::vector<IsolationLevel> levels) {
@@ -211,21 +200,43 @@ bool OnlineChecker::append(const Transaction& txn) {
 }
 
 std::size_t OnlineChecker::append_all(std::span<const Transaction> block) {
+  // Repeats of an id earlier in the block: sorting (id, position) pairs
+  // finds them without a per-transaction allocation.
+  append_ids_.clear();
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    append_ids_.emplace_back(block[i].id(), i);
+  }
+  std::sort(append_ids_.begin(), append_ids_.end());
+  append_repeat_.assign(block.size(), 0);
+  for (std::size_t j = 1; j < append_ids_.size(); ++j) {
+    if (append_ids_[j].first == append_ids_[j - 1].first) {
+      append_repeat_[append_ids_[j].second] = 1;
+    }
+  }
+  // The caller's block goes to extend() as is; only a block holding a
+  // duplicate is copied, from its first duplicate on, minus the duplicates.
   append_fresh_.clear();
-  append_fresh_.reserve(block.size());
-  append_seen_.clear();
-  for (const Transaction& t : block) {
-    if (t.id() == kInitTxn || stream_.txns().contains(t.id()) ||
-        !append_seen_.insert(t.id()).second) {
+  bool filtered = false;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const Transaction& t = block[i];
+    if (append_repeat_[i] != 0 || t.id() == kInitTxn ||
+        stream_.txns().contains(t.id())) {
       ++stats_.duplicates_ignored;
       online_duplicates_total().inc();
+      if (!filtered) {
+        append_fresh_.assign(block.begin(),
+                             block.begin() + static_cast<std::ptrdiff_t>(i));
+        filtered = true;
+      }
       continue;
     }
-    append_fresh_.push_back(t);
+    if (filtered) append_fresh_.push_back(t);
   }
-  if (append_fresh_.empty()) return 0;
-  ingest(stream_.extend(append_fresh_));
-  return append_fresh_.size();
+  const std::span<const Transaction> fresh =
+      filtered ? std::span<const Transaction>(append_fresh_) : block;
+  if (fresh.empty()) return 0;
+  ingest(stream_.extend(fresh));
+  return fresh.size();
 }
 
 std::size_t OnlineChecker::append_all(const model::TransactionSet& txns) {
@@ -251,13 +262,30 @@ void OnlineChecker::ingest(const model::CompiledDelta& delta) {
   timelines_.resize(stream_.key_count());
   max_dropped_pos_.resize(stream_.key_count(), 0);
 
+  // Retire inside the block too, every quarter window of placements, so the
+  // first read of a long log is bounded like a stream of small blocks. A
+  // bytes-only window checks at a quarter of the most transactions its
+  // limit could hold (kTxnBytesEst is the estimate's per-txn floor).
+  std::size_t stride = 0;
+  if (window_.enabled()) {
+    std::size_t cap = window_.max_resident_txns != 0 ? window_.max_resident_txns
+                                                     : static_cast<std::size_t>(-1);
+    if (window_.max_resident_bytes != 0) {
+      cap = std::min(cap, window_.max_resident_bytes / kTxnBytesEst);
+    }
+    stride = std::max<std::size_t>(cap / 4, 1);
+  }
+
   // Evaluate the block's transactions one by one in dense (= apply) order:
   // when transaction d is evaluated only [0, d) is installed, so "has the
   // observed writer been applied yet" is the dense compare `writer < d` —
   // exact for prefix writers, earlier block members, and intra-block forward
   // references alike.
-  for (TxnIdx d = delta.first; d < delta.first + delta.count; ++d) {
-    commit_placed(d);
+  const TxnIdx first = delta.first;
+  const std::size_t count = delta.count;
+  for (std::size_t i = 0; i < count; ++i) {
+    commit_placed(first + static_cast<TxnIdx>(i));
+    if (stride != 0 && (i + 1) % stride == 0) maybe_retire();
   }
   maybe_retire();
 }
@@ -350,8 +378,8 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
   }
   // An empty read state leaves no complete state.
   if (!preread) complete_hi = -1;
-  // Without interval ends, only the CAUS-VIS timeline walk below can read
-  // past a version a fold dropped.
+  // Without interval ends, only the CAUS-VIS test below can read past a
+  // version a fold dropped.
   if (lossy_reads != 0 &&
       (!weak_only_ || (preread && tracking(IsolationLevel::kPSI)))) {
     stats_.past_window_reads += lossy_reads;
@@ -387,46 +415,46 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
     }
   }
 
-  // CAUS-VIS (PSI). Build the transitive PREC set from placed predecessors.
-  // Assigned mode builds the set for EVERY transaction (preread permitting):
-  // a PSI-level transaction arriving in a later block absorbs its
-  // predecessors' closures, whatever levels those ran at.
-  if ((tracking(IsolationLevel::kPSI) || assigned_mode_) && preread) {
+  // CAUS-VIS (PSI). Build the transitive PREC set from placed predecessors —
+  // for EVERY transaction while closures are live, whatever its PREREAD:
+  // in assigned mode a PSI-level transaction arriving in a later block
+  // absorbs its predecessors' closures, whatever levels those ran at. As in
+  // ReadStateAnalysis::precedence(), a read contributes its writer only when
+  // its read state is non-empty (starts_[i] > 0: an applied member version).
+  if (closures_live()) {
     p.prec.recent.grow(static_cast<std::size_t>(d) - prec_origin_ + 1);
     for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0 || cops.internal(i) ||
-          (m & model::kOpInitWriter) != 0) {
-        continue;
-      }
-      const TxnIdx w = cops.writer(i);
-      if (w != model::kNoTxnIdx && w < d) prec_absorb(p, w);
+      if (starts_[i] > 0) prec_absorb(p, static_cast<std::size_t>(starts_[i] - 1));
     }
+    // Write-write predecessors: every earlier writer of a key d writes. The
+    // newest one absorbed the rest of its key's timeline when it was placed,
+    // so its closure alone covers them.
     for (model::KeyIdx k : stream_.write_keys(d)) {
-      if (const auto* tl = timeline_of(k)) {
-        for (const auto& [pos, slot] : *tl) prec_absorb(p, slot);
-      }
+      if (const auto* tl = timeline_of(k)) prec_absorb(p, tl->back().second);
     }
     // The visibility check itself applies only when THIS transaction runs
     // at PSI. Under PREREAD every surviving read is of the initial or an
     // applied member version, and a timeline entry lies past its read state
     // iff it lies past its start: pos > rs.last ⟺ pos > rs.first, because
     // upper_bound picks the first entry past the version and no installed
-    // entry exceeds parent.
-    if (tracking(IsolationLevel::kPSI)) {
+    // entry exceeds parent. Closures are downward-closed along each key's
+    // writer chain (each writer absorbed its predecessor), so some writer
+    // past the start is in PREC iff the FIRST one is: test only that.
+    if (tracking(IsolationLevel::kPSI) && preread) {
       for (std::size_t i = 0; i < cops.size(); ++i) {
         if (cops.is_write(i) || cops.internal(i)) continue;
-        if (const auto* tl = timeline_of(cops.key(i))) {
-          for (const auto& [pos, slot] : *tl) {
-            if (pos > starts_[i] && prec_test(p, slot)) {
-              violate(IsolationLevel::kPSI, d,
-                      "CAUS-VIS fails: misses " +
-                          crooks::to_string(stream_.id_of(static_cast<TxnIdx>(slot))) +
-                          "'s write to " +
-                          crooks::to_string(stream_.keys().key_of(cops.key(i))),
-                      static_cast<TxnIdx>(slot));
-            }
-          }
+        const auto* tl = timeline_of(cops.key(i));
+        if (tl == nullptr) continue;
+        const auto it = std::upper_bound(
+            tl->begin(), tl->end(), starts_[i],
+            [](StateIndex v, const auto& en) { return v < en.first; });
+        if (it != tl->end() && prec_test(p, it->second)) {
+          violate(IsolationLevel::kPSI, d,
+                  "CAUS-VIS fails: misses " +
+                      crooks::to_string(stream_.id_of(static_cast<TxnIdx>(it->second))) +
+                      "'s write to " +
+                      crooks::to_string(stream_.keys().key_of(cops.key(i))),
+                  static_cast<TxnIdx>(it->second));
         }
       }
     }
@@ -583,22 +611,26 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
 }
 
 void OnlineChecker::prec_absorb(Placed& p, std::size_t slot) {
-  prec_add(p, slot);
+  // A member of the closure brought its own closure along when it joined.
+  if (prec_test(p, slot)) return;
   if (slot >= placed_base_) {
     const Placed& w = placed_of(slot);
     // Same origin on both sides, so the word-wise OR is a straight union;
     // w's bitset never exceeds p's (w placed earlier, p grown to cover d).
+    p.prec.recent.set(slot - prec_origin_);
     p.prec.recent.or_with(w.prec.recent);
-    for (std::size_t s : w.prec.old) prec_add(p, s);
+    p.prec.base.grow(w.prec.base.size());
+    p.prec.base.or_with(w.prec.base);
     return;
   }
-  // Retired base slot: its closure, restricted to still-testable slots,
-  // was summarized into base_prec_ at fold time. A key's base writer
-  // absorbed every older writer of that key when it was placed, so this
-  // covers the dropped writers transitively — the write-side absorb over a
-  // folded timeline loses nothing.
-  if (auto it = base_prec_.find(slot); it != base_prec_.end()) {
-    for (std::size_t s : it->second) prec_add(p, s);
+  // Retired base slot: its closure over base ordinals was harvested at fold
+  // time. A key's base writer absorbed every older writer of that key when
+  // it was placed, so this covers the dropped writers transitively — the
+  // write-side absorb over a folded timeline loses nothing.
+  if (const std::size_t o = ordinal_of(slot); o != kNoOrdinal) {
+    p.prec.base.grow(o + 1);
+    p.prec.base.set(o);
+    p.prec.base.or_with(base_prec_[o]);
     return;
   }
   // Retired and no longer any key's base writer: its closure summary is
@@ -621,7 +653,9 @@ void OnlineChecker::maybe_retire() {
     }
   }
   if (txns_.size() <= target) return;
-  std::size_t wm = stream_.size() - target;
+  // The watermark follows the PLACED transactions: inside a block, the
+  // compiled stream already holds members that are not evaluated yet.
+  std::size_t wm = placed_count() - target;
   // Never retire a session's most recently applied transaction: a stalled
   // session pins the window (memory grows until it commits again) instead
   // of degrading its own recency verdicts.
@@ -640,51 +674,90 @@ void OnlineChecker::maybe_retire() {
 void OnlineChecker::fold_to(TxnIdx upto) {
   obs::TraceSpan span("online.fold");
   const std::size_t M = static_cast<std::size_t>(upto);
-  const std::size_t erase_n = M - placed_base_;
+  const std::size_t first = placed_base_;  // first slot retiring now
+  const std::size_t erase_n = M - first;
+  const bool closures = closures_live();
+  if (!closures && !ord_slot_.empty()) {
+    // Closures died (PSI violated): nothing will test or absorb them again.
+    ord_slot_.clear();
+    ord_keys_.clear();
+    base_prec_.clear();
+    live_ords_ = 0;
+    base_bytes_ = 0;
+  }
 
   // 1. Timelines: drop entries before the watermark, keeping each key's
   // newest retired writer as its base entry (NO-CONF's back() and the
-  // CAUS-VIS walk stay exact for it); remember the largest dropped position
-  // — reads of versions below it are the window's only read-side loss.
-  std::vector<std::size_t> base_slots;
-  for (std::size_t k = 0; k < timelines_.size(); ++k) {
-    auto& tl = timelines_[k];
-    if (tl.empty()) continue;
-    // Entries are appended in apply order, so slots ascend.
-    const auto cut = std::partition_point(
-        tl.begin(), tl.end(), [&](const auto& en) { return en.second < M; });
-    const std::size_t split = static_cast<std::size_t>(cut - tl.begin());
-    if (split == 0) continue;
-    if (split >= 2) {
-      max_dropped_pos_[k] = std::max(max_dropped_pos_[k], tl[split - 2].first);
-      tl.erase(tl.begin(), tl.begin() + static_cast<std::ptrdiff_t>(split - 1));
-    }
-    base_slots.push_back(tl.front().second);
-  }
-  std::sort(base_slots.begin(), base_slots.end());
-  base_slots.erase(std::unique(base_slots.begin(), base_slots.end()),
-                   base_slots.end());
-
-  // 2. Retired closures: for every slot surviving as a base slot, keep
-  // closure ∩ base slots — the only memberships a future test can ask for.
-  // Newly retired slots harvest from their (still resident) PREC sets;
-  // carried-over base slots prune their existing summaries.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> new_bp;
-  new_bp.reserve(base_slots.size());
-  for (std::size_t b : base_slots) {
-    std::vector<std::size_t> closure;
-    if (b >= placed_base_) {
-      const Placed& pb = placed_of(b);
-      for (std::size_t s : base_slots) {
-        if (s != b && prec_test(pb, s)) closure.push_back(s);
+  // CAUS-VIS test stay exact for it); remember the largest dropped position
+  // — reads of versions below it are the window's only read-side loss. Only
+  // keys a retiring transaction wrote change; each is visited once, from its
+  // newest retiring writer, which becomes its base slot. new_keys[i] counts
+  // the keys slot first+i is now the base of.
+  std::vector<std::uint32_t> new_keys(closures ? erase_n : 0, 0);
+  for (std::size_t d = first; d < M; ++d) {
+    for (model::KeyIdx k : stream_.write_keys(static_cast<TxnIdx>(d))) {
+      auto& tl = timelines_[k];
+      // Entries are appended in apply order, so slots ascend.
+      const auto cut = std::partition_point(
+          tl.begin(), tl.end(), [&](const auto& en) { return en.second < M; });
+      const std::size_t split = static_cast<std::size_t>(cut - tl.begin());
+      if (tl[split - 1].second != d) continue;  // a newer retiring writer
+      if (closures && tl.front().second < first) {
+        // The previous base slot stops being this key's base.
+        const std::size_t o = ordinal_of(tl.front().second);
+        if (--ord_keys_[o] == 0) {
+          --live_ords_;
+          base_bytes_ -= bitset_bytes(base_prec_[o]);
+          base_prec_[o] = DynamicBitset();
+        }
       }
-    } else if (auto it = base_prec_.find(b); it != base_prec_.end()) {
-      closure = std::move(it->second);
-      intersect_sorted(closure, base_slots);
+      if (split >= 2) {
+        max_dropped_pos_[k] = std::max(max_dropped_pos_[k], tl[split - 2].first);
+        tl.erase(tl.begin(), tl.begin() + static_cast<std::ptrdiff_t>(split - 1));
+      }
+      if (closures) ++new_keys[d - first];
     }
-    new_bp.emplace(b, std::move(closure));
   }
-  base_prec_ = std::move(new_bp);
+
+  // 2. Retired closures. New base slots get the next ordinals in slot
+  // order; each one's closure is its resident `base` bitset plus the newly
+  // retired base slots harvested out of its `recent` bitset. Carried-over
+  // base slots keep their closures as they are.
+  if (closures) {
+    std::vector<std::size_t> new_ord(erase_n, kNoOrdinal);
+    const std::size_t first_ord = ord_slot_.size();
+    for (std::size_t i = 0; i < erase_n; ++i) {
+      if (new_keys[i] == 0) continue;
+      new_ord[i] = ord_slot_.size();
+      ord_slot_.push_back(first + i);
+      ord_keys_.push_back(new_keys[i]);
+      ++live_ords_;
+    }
+    const std::size_t n_ord = ord_slot_.size();
+    // Bits of `recent` for slots [first, hi) → their new ordinals in `out`.
+    auto harvest = [&](const DynamicBitset& recent, std::size_t hi,
+                       DynamicBitset& out) {
+      if (n_ord == first_ord) return;
+      recent.for_each_in(first - prec_origin_, hi - prec_origin_, [&](std::size_t i) {
+        const std::size_t o = new_ord[prec_origin_ + i - first];
+        if (o == kNoOrdinal) return;
+        out.grow(o + 1);
+        out.set(o);
+      });
+    };
+    base_prec_.resize(n_ord);
+    for (std::size_t o = first_ord; o < n_ord; ++o) {
+      const std::size_t b = ord_slot_[o];
+      Placed& pb = placed_of(b);
+      DynamicBitset closure = std::move(pb.prec.base);
+      harvest(pb.prec.recent, b, closure);
+      base_bytes_ += bitset_bytes(closure);
+      base_prec_[o] = std::move(closure);
+    }
+    for (std::size_t i = erase_n; i < txns_.size(); ++i) {
+      harvest(txns_[i].prec.recent, M, txns_[i].prec.base);
+    }
+  }
 
   // 3. Sessions: state s was generated by dense slot s-1, so states ≤ M are
   // retired. Keep the largest as the recency marker; mark the record lossy
@@ -700,22 +773,17 @@ void OnlineChecker::fold_to(TxnIdx upto) {
     st.erase(st.begin(), cut);
   }
 
-  // 4. Surviving PREC sets: shift the origin by whole words, harvesting
-  // dropped closure members that are still base slots into `old` and
-  // discarding the rest (they can never be tested again).
+  // 4. Surviving PREC sets: shift the origin by whole words (the retired
+  // members that can still be tested were harvested into `base` above), or
+  // drop them outright once closures are dead.
   const std::size_t new_origin = (M / 64) * 64;
   const std::size_t dwords = (new_origin - prec_origin_) / 64;
   for (std::size_t i = erase_n; i < txns_.size(); ++i) {
-    Placed& p = txns_[i];
-    intersect_sorted(p.prec.old, base_slots);
-    if (dwords != 0) {
-      p.prec.recent.drop_words(dwords, [&](std::size_t idx) {
-        const std::size_t slot = prec_origin_ + idx;
-        if (std::binary_search(base_slots.begin(), base_slots.end(), slot)) {
-          auto it = std::lower_bound(p.prec.old.begin(), p.prec.old.end(), slot);
-          if (it == p.prec.old.end() || *it != slot) p.prec.old.insert(it, slot);
-        }
-      });
+    PrecSet& prec = txns_[i].prec;
+    if (!closures) {
+      prec = PrecSet{};
+    } else {
+      prec.recent.drop_words(dwords);
     }
   }
 
@@ -724,6 +792,7 @@ void OnlineChecker::fold_to(TxnIdx upto) {
   if (txns_.capacity() > 2 * txns_.size() + 1024) txns_.shrink_to_fit();
   placed_base_ = M;
   prec_origin_ = new_origin;
+  if (ord_slot_.size() - live_ords_ > live_ords_) compact_ordinals();
   placed_bytes_ = 0;
   for (const Placed& p : txns_) placed_bytes_ += placed_bytes(p);
 
@@ -745,6 +814,39 @@ void OnlineChecker::fold_to(TxnIdx upto) {
   span.field("watermark", static_cast<std::uint64_t>(M))
       .field("retired", static_cast<std::uint64_t>(rs.txns))
       .field("resident", static_cast<std::uint64_t>(txns_.size()));
+}
+
+void OnlineChecker::compact_ordinals() {
+  // rank[o] = live ordinals below o: the new number of live ordinal o, and
+  // rank[w] the new width of a bitset of width w.
+  const std::size_t n_ord = ord_slot_.size();
+  std::vector<std::size_t> rank(n_ord + 1, 0);
+  for (std::size_t o = 0; o < n_ord; ++o) {
+    rank[o + 1] = rank[o] + (ord_keys_[o] != 0 ? 1 : 0);
+  }
+  auto renumber = [&](DynamicBitset& b) {
+    DynamicBitset out(rank[std::min(b.size(), n_ord)]);
+    b.for_each([&](std::size_t o) {
+      if (rank[o + 1] != rank[o]) out.set(rank[o]);
+    });
+    b = std::move(out);
+  };
+  for (Placed& p : txns_) renumber(p.prec.base);
+  base_bytes_ = 0;
+  for (std::size_t o = 0; o < n_ord; ++o) {
+    if (ord_keys_[o] == 0) continue;
+    const std::size_t n = rank[o];
+    renumber(base_prec_[o]);
+    base_bytes_ += bitset_bytes(base_prec_[o]);
+    if (n != o) {
+      ord_slot_[n] = ord_slot_[o];
+      ord_keys_[n] = ord_keys_[o];
+      base_prec_[n] = std::move(base_prec_[o]);
+    }
+  }
+  ord_slot_.resize(live_ords_);
+  ord_keys_.resize(live_ords_);
+  base_prec_.resize(live_ords_);
 }
 
 void OnlineChecker::check_retroactive_inversions(TxnIdx d) {

@@ -44,7 +44,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "committest/levels.hpp"
@@ -93,11 +92,14 @@ class OnlineChecker {
   /// its prefix in epochs: once the resident tail exceeds the limit, a
   /// watermark W is chosen, everything before W is folded into a summarized
   /// base (per-key latest retired version, per-session recency marker,
-  /// retired PREC closures restricted to still-testable slots, the compiled
-  /// history's retained scalar/footprint columns), and the per-transaction
-  /// state — placed ops, PREC bitsets, compiled op rows, transaction
-  /// payloads — is reclaimed. Memory then stays O(window + keys + sessions)
-  /// for an arbitrarily long stream.
+  /// retired PREC closures over the base slots, the compiled history's
+  /// retained scalar/footprint columns), and the per-transaction state —
+  /// PREC bitsets, compiled op rows, transaction payloads — is reclaimed.
+  /// Retirement also runs inside a block, every quarter window of
+  /// placements, so one oversized block (the first read of an existing log)
+  /// is bounded like a stream of small ones. Memory then no longer grows
+  /// with the stream: it is bounded by the window, the keys (one base slot
+  /// and its closure per key) and the sessions.
   ///
   /// The windowed monitor is ONE-SIDED: it never reports a violation an
   /// unwindowed checker would not, and it misses a violation only when the
@@ -129,12 +131,12 @@ class OnlineChecker {
   /// Compiled operations currently resident in the stream.
   std::size_t resident_ops() const { return stream_.resident_ops(); }
   /// Rough resident-footprint estimate in bytes (placed state, i.e. state
-  /// index and PREC closure, + compiled rows + transaction payloads). Drives
-  /// the max_resident_bytes limit; the retained per-transaction summary
-  /// columns (~100 B/txn, grow with the whole stream) are intentionally
-  /// excluded — a window cannot bound them.
+  /// index and PREC closure, + the retired base slots' closures + compiled
+  /// rows + transaction payloads). Drives the max_resident_bytes limit; the
+  /// retained per-transaction summary columns (~100 B/txn, grow with the
+  /// whole stream) are intentionally excluded — a window cannot bound them.
   std::size_t resident_bytes() const {
-    return placed_bytes_ + txns_.size() * kTxnBytesEst +
+    return placed_bytes_ + base_bytes_ + txns_.size() * kTxnBytesEst +
            stream_.resident_ops() * kOpBytesEst;
   }
 
@@ -173,7 +175,8 @@ class OnlineChecker {
     /// hide behind the retained retired-session marker, or a PREC absorb of
     /// a retired writer whose closure summary was dropped (it stopped being
     /// any key's newest retired writer). Like past_window_reads these are
-    /// one-sided: missed violations, never fabricated ones.
+    /// one-sided: missed violations, never fabricated ones. Once PSI is dead
+    /// no closure is maintained, so its absorbs stop counting here.
     std::uint64_t past_window_checks = 0;
   };
 
@@ -203,7 +206,7 @@ class OnlineChecker {
 
   /// One recorded violation, delivered to the violation hook at event time —
   /// while the failing transaction's compiled ops are still resident (the
-  /// hook fires before the window's end-of-ingest retirement; only the
+  /// watermark never passes a transaction still being evaluated; only the
   /// retroactive-inversion victim can already sit below the watermark).
   struct ViolationEvent {
     ct::IsolationLevel level = ct::IsolationLevel::kReadUncommitted;
@@ -225,20 +228,21 @@ class OnlineChecker {
 
  private:
   /// A PREC closure that survives window folds. `recent` is a bitset over
-  /// slots ≥ prec_origin_ (bit i ⇔ slot prec_origin_ + i); `old` is a small
-  /// sorted vector of retired BASE slots below the origin — the only retired
-  /// slots that can still be tested (they appear in a timeline as a key's
-  /// latest retired writer). A fold shifts the origin by whole words
-  /// (DynamicBitset::drop_words), harvesting dropped closure members that
-  /// are still base slots into `old` and pruning the rest.
+  /// slots ≥ prec_origin_ (bit i ⇔ slot prec_origin_ + i), consulted only for
+  /// resident slots; `base` is a bitset over base ordinals (bit o ⇔ retired
+  /// slot ord_slot_[o]). A retired slot can only be tested while it is a
+  /// base slot — some key's newest retired writer, the front of its
+  /// timeline — so those are the only retired slots given an ordinal. A
+  /// fold harvests the newly retired base slots out of `recent` into `base`
+  /// and shifts the origin by whole words (DynamicBitset::drop_words).
   struct PrecSet {
     DynamicBitset recent;
-    std::vector<std::size_t> old;
+    DynamicBitset base;
   };
 
   struct Placed {
     StateIndex state = 0;  // 1-based; == dense index + 1
-    PrecSet prec;  // populated only when PSI is tracked (or assigned mode)
+    PrecSet prec;  // populated only while closures_live()
   };
 
   /// Per-session recency record. `states` holds RESIDENT applied states
@@ -260,6 +264,15 @@ class OnlineChecker {
   }
   bool status_ok(ct::IsolationLevel level) const {
     return assigned_mode_ ? assigned_status_.ok : statuses_.at(level).ok;
+  }
+  /// Are PREC closures maintained? Uniform mode: while PSI is tracked and
+  /// not yet violated. Assigned mode: while the status is alive (a PSI-level
+  /// transaction may arrive in any later block and absorb the closures of
+  /// predecessors that ran at any level).
+  bool closures_live() const {
+    if (assigned_mode_) return assigned_status_.ok;
+    const auto it = statuses_.find(ct::IsolationLevel::kPSI);
+    return it != statuses_.end() && it->second.ok;
   }
   /// The level transaction `d` is evaluated at in assigned mode.
   ct::IsolationLevel assigned_level_of(model::TxnIdx d) const {
@@ -292,38 +305,47 @@ class OnlineChecker {
   const Placed& placed_of(std::size_t slot) const {
     return txns_[slot - placed_base_];
   }
-  /// slot ∈ PREC closure of p? Exact for every slot ≥ prec_origin_ and for
-  /// every current base slot; no other slot is ever tested.
+  static constexpr std::size_t kNoOrdinal = static_cast<std::size_t>(-1);
+  /// Base ordinal of a retired slot, or kNoOrdinal unless it is a live base
+  /// slot. Ordinals ascend with their slots, so this is a binary search.
+  std::size_t ordinal_of(std::size_t slot) const {
+    auto it = std::lower_bound(ord_slot_.begin(), ord_slot_.end(), slot);
+    if (it == ord_slot_.end() || *it != slot) return kNoOrdinal;
+    const auto o = static_cast<std::size_t>(it - ord_slot_.begin());
+    return ord_keys_[o] != 0 ? o : kNoOrdinal;
+  }
+  /// slot ∈ PREC closure of p? Exact for every resident slot and for every
+  /// live base slot; no other slot is ever tested.
   bool prec_test(const Placed& p, std::size_t slot) const {
-    if (slot >= prec_origin_) {
+    if (slot >= placed_base_) {
       const std::size_t i = slot - prec_origin_;
       return i < p.prec.recent.size() && p.prec.recent.test(i);
     }
-    return std::binary_search(p.prec.old.begin(), p.prec.old.end(), slot);
-  }
-  void prec_add(Placed& p, std::size_t slot) {
-    if (slot >= prec_origin_) {
-      const std::size_t i = slot - prec_origin_;
-      p.prec.recent.grow(i + 1);
-      p.prec.recent.set(i);
-      return;
-    }
-    auto it = std::lower_bound(p.prec.old.begin(), p.prec.old.end(), slot);
-    if (it == p.prec.old.end() || *it != slot) p.prec.old.insert(it, slot);
+    const std::size_t o = ordinal_of(slot);
+    return o != kNoOrdinal && o < p.prec.base.size() && p.prec.base.test(o);
   }
   /// Absorb slot and its transitive closure into p's PREC set, whether the
   /// slot is resident (Placed bitsets) or a retired base slot (base_prec_).
   void prec_absorb(Placed& p, std::size_t slot);
-  /// Rough per-Placed footprint, for the max_resident_bytes estimate.
-  static std::size_t placed_bytes(const Placed& p) {
-    return sizeof(Placed) + (p.prec.recent.size() + 7) / 8 +
-           p.prec.old.capacity() * sizeof(std::size_t);
+  /// Rough footprints, for the max_resident_bytes estimate.
+  static std::size_t bitset_bytes(const DynamicBitset& b) {
+    return (b.size() + 7) / 8;
   }
-  /// End-of-ingest hook: decide a watermark (resident excess, clamped so no
-  /// session's latest applied transaction retires, with hysteresis) and fold.
+  static std::size_t placed_bytes(const Placed& p) {
+    return sizeof(Placed) + bitset_bytes(p.prec.recent) +
+           bitset_bytes(p.prec.base);
+  }
+  /// Decide a watermark (resident excess, clamped so no session's latest
+  /// applied transaction retires, with hysteresis) and fold. Runs every
+  /// quarter window of placements and at the end of every ingest.
   void maybe_retire();
   /// Fold everything before dense index `upto` into the summarized base.
   void fold_to(model::TxnIdx upto);
+  /// Renumber the live base ordinals densely (order kept) once the dead ones
+  /// outnumber them, rewriting every closure's `base` bitset.
+  void compact_ordinals();
+  /// Placed transactions (retired + resident): the next slot to evaluate.
+  std::size_t placed_count() const { return placed_base_ + txns_.size(); }
 
   /// Timeline of dense key `k`, or null when nothing applied wrote it yet.
   const std::vector<std::pair<StateIndex, std::size_t>>* timeline_of(
@@ -354,8 +376,17 @@ class OnlineChecker {
   WindowOptions window_;
   std::size_t placed_base_ = 0;  // == stream_.retired(): dense slot of txns_[0]
   std::size_t prec_origin_ = 0;  // word-aligned (×64), ≤ placed_base_
-  // closure(b) ∩ current base slots, sorted, for every retired base slot b.
-  std::unordered_map<std::size_t, std::vector<std::size_t>> base_prec_;
+  // Base ordinals, append-only: a slot gets one at the fold where it becomes
+  // some key's newest retired writer. ord_slot_[o] is its slot (ascending in
+  // o), ord_keys_[o] the number of keys it is still the base of (0 = dead:
+  // never tested again), base_prec_[o] its closure over ordinals (< o; empty
+  // once dead). Dead ordinals are compacted away once they outnumber the
+  // live_ords_ live ones.
+  std::vector<std::size_t> ord_slot_;
+  std::vector<std::uint32_t> ord_keys_;
+  std::vector<DynamicBitset> base_prec_;
+  std::size_t live_ords_ = 0;
+  std::size_t base_bytes_ = 0;    // Σ closure bytes over base_prec_
   std::size_t placed_bytes_ = 0;  // Σ placed_bytes over resident txns_
   static constexpr std::size_t kTxnBytesEst = 320;  // Transaction + set nodes
   static constexpr std::size_t kOpBytesEst = 32;    // compiled rows + timeline
@@ -378,9 +409,12 @@ class OnlineChecker {
   // Scratch: per-op read-state starts of the transaction in evaluate_new
   // (reused across transactions to avoid reallocation).
   std::vector<StateIndex> starts_;
-  // Scratch for append_all's duplicate filter (a monitor appends for days;
-  // one hash table outlives every batch instead of one allocation per batch).
-  std::unordered_set<TxnId> append_seen_;
+  // Scratch for append_all's duplicate filter, reused across batches (a
+  // monitor appends for days): the block's sorted (id, position) pairs and
+  // which positions repeat an earlier id, and the filtered copy of a block
+  // that holds a duplicate.
+  std::vector<std::pair<TxnId, std::size_t>> append_ids_;
+  std::vector<std::uint8_t> append_repeat_;
   std::vector<model::Transaction> append_fresh_;
   std::function<void(const ViolationEvent&)> violation_hook_;
   Stats stats_;

@@ -62,22 +62,29 @@ class DynamicBitset {
     }
   }
 
-  /// Drop the first `nwords` 64-bit words, invoking f(old_index) for every
-  /// set bit being dropped (ascending). Remaining bits shift down by
-  /// 64*nwords — the epoch fold of the online checker's PREC sets, where the
-  /// retired low slots are harvested into a summarized base representation.
+  /// Invoke f(index) for every set bit in [lo, hi), in increasing order.
   template <typename F>
-  void drop_words(std::size_t nwords, F&& f) {
-    nwords = std::min(nwords, words_.size());
-    if (nwords == 0) return;
-    for (std::size_t w = 0; w < nwords; ++w) {
+  void for_each_in(std::size_t lo, std::size_t hi, F&& f) const {
+    hi = std::min(hi, size_);
+    if (lo >= hi) return;
+    const std::size_t last = (hi - 1) >> 6;
+    for (std::size_t w = lo >> 6; w <= last; ++w) {
       std::uint64_t bits = words_[w];
+      if (w == lo >> 6) bits &= ~0ULL << (lo & 63);
+      if (w == last && (hi & 63) != 0) bits &= (1ULL << (hi & 63)) - 1;
       while (bits != 0) {
         const int b = __builtin_ctzll(bits);
         f(w * 64 + static_cast<std::size_t>(b));
         bits &= bits - 1;
       }
     }
+  }
+
+  /// Drop the first `nwords` 64-bit words; the remaining bits shift down by
+  /// 64*nwords (the online checker's window fold re-bases its PREC sets).
+  void drop_words(std::size_t nwords) {
+    nwords = std::min(nwords, words_.size());
+    if (nwords == 0) return;
     words_.erase(words_.begin(),
                  words_.begin() + static_cast<std::ptrdiff_t>(nwords));
     size_ -= std::min(size_, nwords * 64);

@@ -149,5 +149,23 @@ TEST(Bitset, ForEachInOrder) {
   EXPECT_EQ(seen, std::vector<std::size_t>(expect.begin(), expect.end()));
 }
 
+TEST(Bitset, ForEachInRangeAndDropWords) {
+  DynamicBitset b(200);
+  for (std::size_t i : {0u, 5u, 63u, 64u, 100u, 127u, 128u, 199u}) b.set(i);
+  std::vector<std::size_t> seen;
+  b.for_each_in(5, 128, [&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{5, 63, 64, 100, 127}));
+  seen.clear();
+  b.for_each_in(64, 64, [&](std::size_t i) { seen.push_back(i); });
+  b.for_each_in(150, 999, [&](std::size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{199}));
+
+  b.drop_words(2);  // bits 128.. shift down to 0..
+  EXPECT_EQ(b.size(), 72u);
+  EXPECT_TRUE(b.test(0));
+  EXPECT_TRUE(b.test(71));
+  EXPECT_EQ(b.count(), 2u);
+}
+
 }  // namespace
 }  // namespace crooks

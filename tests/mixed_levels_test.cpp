@@ -438,6 +438,40 @@ TEST(MixedOnline, AnnotationFlipsTheStream) {
   EXPECT_TRUE(ok.assigned_status().ok);
 }
 
+TEST(MixedOnline, ClosurePassesThroughPrereadFailingTransaction) {
+  // T2 runs at RU, so its read of an unknown writer fails PREREAD without
+  // killing the status. T2 still ▷-follows T1 (it read x from T1), and T3
+  // read y from T2, so T1 ∈ PREC(T3): T3's read of x from ⊥ misses T1's
+  // write and CAUS-VIS fails at T3 — as ct::test_execution decides for the
+  // apply order T1, T2, T3.
+  constexpr Key kZ{2};
+  const std::vector<model::Transaction> txns{
+      TxnBuilder(1).write(kX).level(L::kPSI).build(),
+      TxnBuilder(2).read(kX, TxnId{1}).read(kZ, TxnId{99}).write(kY)
+          .level(L::kReadUncommitted).build(),
+      TxnBuilder(3).read(kY, TxnId{2}).read(kX, kInitTxn).level(L::kPSI).build(),
+  };
+  const TransactionSet set(txns);
+  const model::CompiledHistory ch(set);
+  const auto verdict = ct::test_execution(
+      ct::LevelAssignment::from_annotations(ch, L::kPSI), set,
+      model::Execution(set, {TxnId{1}, TxnId{2}, TxnId{3}}));
+  ASSERT_FALSE(verdict.ok);
+  EXPECT_EQ(verdict.violating_txn, TxnId{3});
+
+  for (std::size_t block : {1u, 3u}) {  // one block per txn, or one block
+    OnlineChecker c(OnlineChecker::kTrackAssigned, L::kPSI);
+    for (std::size_t at = 0; at < txns.size(); at += block) {
+      c.append_all(std::span<const model::Transaction>(txns.data() + at, block));
+    }
+    EXPECT_FALSE(c.assigned_status().ok) << "block " << block;
+    EXPECT_EQ(c.assigned_status().first_violation, verdict.violating_txn);
+    EXPECT_NE(c.assigned_status().explanation.find("T3 [PSI]: CAUS-VIS fails"),
+              std::string::npos)
+        << c.assigned_status().explanation;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 6. Batch / incremental policies.
 // ---------------------------------------------------------------------------

@@ -349,6 +349,115 @@ TEST(OnlineWindow, WindowBytesBoundsResidency) {
   EXPECT_LT(win.resident_txns(), 2000u);
 }
 
+/// A serial stream over `keys` keys (3 reads + 2 writes per transaction,
+/// sessions round-robin over 8, monotone timestamps). Each read observes the
+/// key's latest version, except with probability p_stale the one before it
+/// (⊥ when the key was written once) from transaction `stale_from` on: a
+/// skipped version whose writer is in the reader's PREC closure fails
+/// CAUS-VIS.
+std::vector<Transaction> serial_stream(std::uint64_t seed, std::size_t n,
+                                       std::uint64_t keys, double p_stale,
+                                       std::uint64_t stale_from = 1) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::uint64_t> key(0, keys - 1);
+  std::bernoulli_distribution stale(p_stale);
+  std::vector<std::uint64_t> latest(keys, 0), previous(keys, 0);
+  std::vector<Transaction> out;
+  out.reserve(n);
+  for (std::uint64_t id = 1; id <= n; ++id) {
+    TxnBuilder b(id);
+    for (int r = 0; r < 3; ++r) {
+      const std::uint64_t k = key(rng);
+      const bool skip = stale(rng) && id >= stale_from;
+      b.read(Key{k}, TxnId{skip ? previous[k] : latest[k]});
+    }
+    const std::uint64_t w1 = key(rng), w2 = key(rng);
+    b.write(Key{w1});
+    if (w2 != w1) b.write(Key{w2});
+    const auto ts = static_cast<Timestamp>(2 * id);
+    out.push_back(b.session(SessionId{static_cast<std::uint32_t>(id % 8)})
+                      .at(ts, ts + 1)
+                      .build());
+    for (std::uint64_t k : {w1, w2}) {
+      if (latest[k] == id) continue;
+      previous[k] = latest[k];
+      latest[k] = id;
+    }
+  }
+  return out;
+}
+
+TEST(OnlineWindow, DenseStreamBaseOrdinalsMatchUnwindowed) {
+  // ~2,000 keys against windows of 64-1,000: most retired writers stay some
+  // key's base slot for a while and then die, so base ordinals are handed
+  // out and compacted many times over. Stale and ⊥ reads that skip a
+  // retired base writer make the PSI verdict depend on base-ordinal
+  // membership; the windowed checker must still match the unwindowed one.
+  std::mt19937_64 rng(2024);
+  std::size_t lossless_psi_violations = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    for (double p_stale : {0.0, 0.001, 0.004}) {
+      const auto all = serial_stream(seed, 3000, 2000, p_stale);
+      const auto cuts = random_cuts(all.size(), 50, rng);
+      OnlineChecker full;
+      feed(full, all, cuts);
+      for (std::size_t window : {64u, 250u, 1000u}) {
+        OnlineChecker win;
+        win.set_window({.max_resident_txns = window});
+        feed(win, all, cuts);
+        SCOPED_TRACE("seed " + std::to_string(seed) + " p_stale " +
+                     std::to_string(p_stale) + " window " + std::to_string(window));
+        EXPECT_GT(win.stats().window_folds, 0u);
+        expect_one_sided(win, full);
+        if (p_stale == 0.0) {
+          EXPECT_TRUE(win.status(ct::IsolationLevel::kPSI).ok);
+          EXPECT_EQ(win.stats().past_window_reads + win.stats().past_window_checks, 0u);
+        }
+        if (win.stats().past_window_reads + win.stats().past_window_checks == 0 &&
+            !full.status(ct::IsolationLevel::kPSI).ok) {
+          ++lossless_psi_violations;
+        }
+      }
+    }
+  }
+  // The differential must have compared some PSI refutations exactly.
+  EXPECT_GT(lossless_psi_violations, 0u);
+}
+
+TEST(OnlineWindow, OversizedBlockRetiresInsideTheBlock) {
+  // 64 keys: every key's timeline holds ~window/64 resident writers, so each
+  // closure's write-side absorb meets a long chain. One append_all of 10×
+  // the window must retire as it goes (folds ≥ (N − W)/(2W), residency near
+  // the window) and reach the verdicts of block-by-block feeding. Stale
+  // reads in the last tenth refute the levels they break.
+  constexpr std::size_t kWindow = 256;
+  const auto all = serial_stream(7, 10 * kWindow, 64, 0.01, 9 * kWindow);
+
+  OnlineChecker one;
+  one.set_window({.max_resident_txns = kWindow});
+  ASSERT_EQ(one.append_all(std::span<const Transaction>(all)), all.size());
+  EXPECT_GE(one.stats().window_folds, (all.size() - kWindow) / (2 * kWindow));
+  EXPECT_LE(one.resident_txns(), kWindow + kWindow / 4 + 8);
+  EXPECT_EQ(one.stats().past_window_reads, 0u);
+  EXPECT_EQ(one.stats().past_window_checks, 0u);
+
+  OnlineChecker blocks;
+  blocks.set_window({.max_resident_txns = kWindow});
+  std::mt19937_64 rng(5);
+  feed(blocks, all, random_cuts(all.size(), kWindow / 4, rng));
+  OnlineChecker full;
+  full.append_all(std::span<const Transaction>(all));
+  EXPECT_FALSE(full.status(ct::IsolationLevel::kSerializable).ok);
+  for (ct::IsolationLevel level : ct::kAllLevels) {
+    EXPECT_EQ(one.status(level).ok, blocks.status(level).ok) << ct::name_of(level);
+    EXPECT_EQ(one.status(level).first_violation, blocks.status(level).first_violation)
+        << ct::name_of(level);
+    EXPECT_EQ(one.status(level).explanation, blocks.status(level).explanation)
+        << ct::name_of(level);
+  }
+  expect_one_sided(one, full);
+}
+
 // ------------------------------------------------------------- model layer
 
 TEST(CompiledRetire, FoldThenExtendBitIdentical) {
