@@ -20,9 +20,13 @@
 // 10^4 — its verification builds the quadratic-bit precedence closure
 // (n^2/8 bytes), and the direct engine's own saturation gate
 // (kDirectPsiMaxTxns) declines past 16384 transactions rather than pretend
-// the pass is still linear. ns_per_txn is computed from the best (minimum)
-// per-iteration wall time, the stable signal on a shared host; CI gates
-// direct RC/RA flatness (ns_per_txn at 10^5 within 2x of 10^3) on it.
+// the pass is still linear. A ser_graph row (10^3..10^5) times the offline
+// version-order path at Serializable, which the direct tier does not serve:
+// ranked install orders, G1c/G2 over strongly connected components, and a
+// verified topological witness. ns_per_txn is computed from the best
+// (minimum) per-iteration wall time, the stable signal on a shared host; CI
+// gates direct RC/RA and ser_graph flatness (ns_per_txn at 10^5 within 2x of
+// 10^3) on it.
 //
 // Verdict parity is asserted at startup: on each benched history size both
 // engines must return SAT with a witness that passes the canonical commit
@@ -297,6 +301,8 @@ GRAPH_ROW(ra, L::kReadAtomic)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000)-
 // saturation gate declines past 16384 txns, so the curve stops at 10^4.
 DIRECT_ROW(psi, L::kPSI)->Arg(1000)->Arg(10000)->UseRealTime();
 GRAPH_ROW(psi, L::kPSI)->Arg(1000)->Arg(10000)->UseRealTime();
+// SER: graph engine only (the direct tier serves RC/RA/PSI).
+GRAPH_ROW(ser, L::kSerializable)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 
 #undef DIRECT_ROW
 #undef GRAPH_ROW

@@ -3,10 +3,12 @@
 // without lifting observations into a History first. The graph engine's hot
 // path runs entirely on these; from_observations survives for the cold
 // explanation path and the equivalence tests.
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "adya/graph.hpp"
 #include "adya/phenomena.hpp"
@@ -38,55 +40,72 @@ InstallOrders compile_install_orders(
     const model::CompiledHistory& ch,
     const std::unordered_map<Key, std::vector<TxnId>>* version_order) {
   const model::TransactionSet& txns = ch.txns();
+  constexpr std::uint32_t kUnranked = ~std::uint32_t{0};
   InstallOrders io;
   io.by_key.resize(ch.key_count());
+  io.rank.assign(ch.write_slot_count(), kUnranked);
+  std::vector<char> covered(ch.key_count(), 0);
+
+  // One pass over the explicit entries: intern each id with one probe and
+  // rank each write (History::validate part one). The first bad entry is
+  // held back, not thrown, so a multi-writer key missing from the order
+  // still reports first, as the History path does.
+  std::string bad_entry;
+  if (version_order != nullptr) {
+    for (const auto& [key, order] : *version_order) {
+      const model::KeyIdx k = ch.keys().find(key);
+      if (k != model::kNoKeyIdx) covered[k] = 1;
+      if (!bad_entry.empty()) continue;
+      std::vector<model::TxnIdx> interned;
+      interned.reserve(order.size());
+      for (TxnId id : order) {
+        const std::size_t d = txns.dense_index_if(id);
+        if (d == model::TransactionSet::npos) {
+          bad_entry = is_dangling_writer(ch, id)
+                          ? "version order must contain exactly the committed "
+                            "writers of the key"
+                          : "version order names unknown transaction";
+          break;
+        }
+        const std::uint32_t slot =
+            k == model::kNoKeyIdx
+                ? model::CompiledHistory::kNoSlot
+                : ch.write_slot(static_cast<model::TxnIdx>(d), k);
+        if (slot == model::CompiledHistory::kNoSlot) {
+          bad_entry =
+              "version order must contain exactly the committed writers of the key";
+          break;
+        }
+        if (io.rank[slot] != kUnranked) {
+          bad_entry = repeated_installer_message(key, id);
+          break;
+        }
+        io.rank[slot] = static_cast<std::uint32_t>(interned.size());
+        interned.push_back(static_cast<model::TxnIdx>(d));
+      }
+      if (bad_entry.empty() && k != model::kNoKeyIdx) io.by_key[k] = std::move(interned);
+    }
+  }
 
   // Complete the order for keys with at most one committed writer; a
   // multi-writer key must be covered (from_observations' precondition).
   for (model::KeyIdx k = 0; k < ch.key_count(); ++k) {
     const auto writers = ch.writers_of(k);
-    if (writers.empty()) continue;
-    if (version_order != nullptr && version_order->contains(ch.keys().key_of(k))) {
-      continue;
-    }
+    if (writers.empty() || covered[k] != 0) continue;
     if (writers.size() > 1) {
       throw std::invalid_argument("version order missing for multi-writer key " +
                                   crooks::to_string(ch.keys().key_of(k)));
     }
-    io.by_key[k].assign(writers.begin(), writers.end());
+    io.by_key[k].assign(1, writers.front());
+    io.rank[ch.write_slot(writers.front(), k)] = 0;
   }
-
-  // Validate and intern the explicit entries (History::validate part one).
-  if (version_order != nullptr) {
-    for (const auto& [key, order] : *version_order) {
-      const model::KeyIdx k = ch.keys().find(key);
-      std::vector<model::TxnIdx> interned;
-      interned.reserve(order.size());
-      for (TxnId id : order) {
-        if (!txns.contains(id)) {
-          if (is_dangling_writer(ch, id)) {
-            throw std::invalid_argument(
-                "version order must contain exactly the committed writers of the key");
-          }
-          throw std::invalid_argument("version order names unknown transaction");
-        }
-        const auto d = static_cast<model::TxnIdx>(txns.dense_index_of(id));
-        if (k == model::kNoKeyIdx || !ch.writes_key(d, k)) {
-          throw std::invalid_argument(
-              "version order must contain exactly the committed writers of the key");
-        }
-        interned.push_back(d);
-      }
-      if (k != model::kNoKeyIdx) io.by_key[k] = std::move(interned);
-    }
-  }
+  if (!bad_entry.empty()) throw std::invalid_argument(bad_entry);
 
   // Completeness: << is a *total* order on committed versions (Def. A.1),
   // so every committed final writer of a key must appear in its order.
   for (model::TxnIdx d = 0; d < ch.size(); ++d) {
     for (model::KeyIdx k : ch.write_keys(d)) {
-      const std::vector<model::TxnIdx>& order = io.by_key[k];
-      if (std::find(order.begin(), order.end(), d) == order.end()) {
+      if (io.rank[ch.write_slot(d, k)] == kUnranked) {
         throw std::invalid_argument("version order misses a committed writer of " +
                                     crooks::to_string(ch.keys().key_of(k)));
       }
@@ -97,18 +116,17 @@ InstallOrders compile_install_orders(
 
 Dsg::Dsg(const model::CompiledHistory& ch, const InstallOrders& io) {
   const std::size_t n = ch.size();
-  ids_.reserve(n);
-  for (model::TxnIdx d = 0; d < n; ++d) {
-    node_.emplace(ch.id_of(d), ids_.size());
-    ids_.push_back(ch.id_of(d));
-  }
-  adj_.resize(n);
+  ids_ = ch.ids();  // node i is dense index i
 
-  auto add_edge = [&](std::size_t from, std::size_t to, EdgeKind kind, Key key) {
-    if (from == to) return;
-    adj_[from].push_back(edges_.size());
-    edges_.push_back({from, to, kind, key});
-  };
+  // Room for the ww edges plus at most one wr and one rw per read.
+  std::size_t bound = 0;
+  for (const std::vector<model::TxnIdx>& inst : io.by_key) {
+    if (!inst.empty()) bound += inst.size() - 1;
+  }
+  for (model::TxnIdx d = 0; d < n; ++d) {
+    bound += 2 * (ch.op_count(d) - ch.write_keys(d).size());
+  }
+  edges_.reserve(bound);
 
   // Write-dependencies: consecutive installed versions (Definition A.2).
   for (model::KeyIdx k = 0; k < io.by_key.size(); ++k) {
@@ -136,26 +154,24 @@ Dsg::Dsg(const model::CompiledHistory& ch, const InstallOrders& io) {
       if ((m & (model::kOpPhantom | model::kOpWriterMissesKey)) != 0) {
         continue;  // G1b: observed version is not the writer's final one
       }
+      // The flags guarantee w writes the key, so it holds a rank.
       const model::TxnIdx w = cops.writer(i);
-      auto it = std::find(inst.begin(), inst.end(), w);
-      if (it == inst.end()) continue;
       add_edge(w, d, kWR, ch.keys().key_of(key));
       // Anti-dependency to the installer of the *next* version, if any.
-      const std::size_t next = static_cast<std::size_t>(it - inst.begin()) + 1;
+      const std::size_t next = static_cast<std::size_t>(io.rank_of(ch, w, key)) + 1;
       if (next < inst.size()) add_edge(d, inst[next], kRW, ch.keys().key_of(key));
     }
   }
+  index_edges();
 }
 
 bool Dsg::add_start_edges(const model::CompiledHistory& ch) {
   if (!ch.all_timestamped()) return false;
   const model::CompiledHistory::Adjacency& adj = ch.adjacency();
   for (model::TxnIdx b = 0; b < ch.size(); ++b) {
-    for (model::TxnIdx a : adj.rt_preds.row(b)) {
-      adj_[a].push_back(edges_.size());
-      edges_.push_back({a, b, kSD, Key{}});
-    }
+    for (model::TxnIdx a : adj.rt_preds.row(b)) edges_.push_back({a, b, kSD, Key{}});
   }
+  index_edges();
   return true;
 }
 
@@ -163,11 +179,9 @@ bool Dsg::add_realtime_edges(const model::CompiledHistory& ch) {
   if (!ch.all_timestamped()) return false;
   const model::CompiledHistory::Adjacency& adj = ch.adjacency();
   for (model::TxnIdx b = 0; b < ch.size(); ++b) {
-    for (model::TxnIdx a : adj.rt_preds.row(b)) {
-      adj_[a].push_back(edges_.size());
-      edges_.push_back({a, b, kRT, Key{}});
-    }
+    for (model::TxnIdx a : adj.rt_preds.row(b)) edges_.push_back({a, b, kRT, Key{}});
   }
+  index_edges();
   return true;
 }
 
@@ -191,19 +205,16 @@ bool detect_fractured(const model::CompiledHistory& ch, const InstallOrders& io)
       for (std::size_t j = 0; j < ops.size(); ++j) {
         const std::uint8_t m2 = ops.flags(j);
         if ((m2 & (model::kOpWrite | model::kOpSelfWriter)) != 0) continue;
-        if (!ch.writes_key(wi, ops.key(j))) continue;
-        const std::vector<model::TxnIdx>& inst = io.by_key[ops.key(j)];
+        const std::ptrdiff_t wi_pos = io.rank_of(ch, wi, ops.key(j));
+        if (wi_pos < 0) continue;  // T_i does not write y
         // Install position of r2's observed writer: -1 for ⊥, skip if absent.
         std::ptrdiff_t read_pos = -1;
         if ((m2 & model::kOpInitWriter) == 0) {
           if ((m2 & model::kOpUnknownWriter) != 0) continue;
-          auto it = std::find(inst.begin(), inst.end(), ops.writer(j));
-          if (it == inst.end()) continue;
-          read_pos = it - inst.begin();
+          read_pos = io.rank_of(ch, ops.writer(j), ops.key(j));
+          if (read_pos < 0) continue;
         }
-        auto wit = std::find(inst.begin(), inst.end(), wi);
-        if (wit == inst.end()) continue;
-        if (read_pos < wit - inst.begin()) return true;
+        if (read_pos < wi_pos) return true;
       }
     }
   }
@@ -261,7 +272,7 @@ Needs needs_of(ct::IsolationLevel level) {
 }
 
 Phenomena detect_scoped(const model::CompiledHistory& ch, const InstallOrders& io,
-                        const Needs& want) {
+                        const Needs& want, const Dsg* prebuilt) {
   Phenomena p;
 
   // G1a / G1b are single flag tests: a dirty read *is* an unknown-writer op,
@@ -288,7 +299,8 @@ Phenomena detect_scoped(const model::CompiledHistory& ch, const InstallOrders& i
                         want.si || want.rt;
   if (!want_dsg) return p;
 
-  Dsg dsg(ch, io);
+  std::optional<Dsg> built;
+  const Dsg& dsg = prebuilt != nullptr ? *prebuilt : built.emplace(ch, io);
   if (want.g0) p.g0 = dsg.has_cycle(kWW);
   if (want.g1) p.g1c = dsg.has_cycle(kDependency);
   // G2 = some cycle contains an anti-dependency edge ⟺ some rw edge (u,v)
@@ -329,12 +341,12 @@ Phenomena detect_scoped(const model::CompiledHistory& ch, const InstallOrders& i
 Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io) {
   Needs all;
   all.g0 = all.g1 = all.g2 = all.g_single = all.fractured = all.si = all.rt = true;
-  return detect_scoped(ch, io, all);
+  return detect_scoped(ch, io, all, nullptr);
 }
 
 Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io,
-                 ct::IsolationLevel level) {
-  return detect_scoped(ch, io, needs_of(level));
+                 ct::IsolationLevel level, const Dsg* dsg) {
+  return detect_scoped(ch, io, needs_of(level), dsg);
 }
 
 }  // namespace crooks::adya

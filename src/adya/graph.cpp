@@ -1,7 +1,8 @@
 #include "adya/graph.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <unordered_map>
+#include <utility>
 
 namespace crooks::adya {
 
@@ -17,33 +18,45 @@ std::optional<std::ptrdiff_t> version_pos(const std::vector<TxnId>& installers,
   return it - installers.begin();
 }
 
+/// Node of every committed transaction of `h`, in History order.
+std::unordered_map<TxnId, std::size_t> nodes_of(const History& h) {
+  std::unordered_map<TxnId, std::size_t> node;
+  for (const HistTxn& t : h.txns()) {
+    if (t.committed) node.emplace(t.id, node.size());
+  }
+  return node;
+}
+
 }  // namespace
 
-Dsg::Dsg(const History& h) {
-  for (const HistTxn& t : h.txns()) {
-    if (!t.committed) continue;
-    node_.emplace(t.id, ids_.size());
-    ids_.push_back(t.id);
+void Dsg::index_edges() {
+  out_begin_.assign(size() + 1, 0);
+  for (const Edge& e : edges_) ++out_begin_[e.from + 1];
+  for (std::size_t u = 0; u < size(); ++u) out_begin_[u + 1] += out_begin_[u];
+  out_.resize(edges_.size());
+  std::vector<std::size_t> fill(out_begin_.begin(), out_begin_.end() - 1);
+  for (const Edge& e : edges_) {
+    out_[fill[e.from]++] = Arc{static_cast<std::uint32_t>(e.to), e.kind};
   }
-  adj_.resize(ids_.size());
+}
 
-  auto add_edge = [&](std::size_t from, std::size_t to, EdgeKind kind, Key key) {
-    if (from == to) return;
-    adj_[from].push_back(edges_.size());
-    edges_.push_back({from, to, kind, key});
-  };
+Dsg::Dsg(const History& h) {
+  const std::unordered_map<TxnId, std::size_t> node = nodes_of(h);
+  for (const HistTxn& t : h.txns()) {
+    if (t.committed) ids_.push_back(t.id);
+  }
 
   // Write-dependencies: consecutive installed versions (Definition A.2).
   for (const auto& [key, installers] : h.version_order()) {
     for (std::size_t i = 0; i + 1 < installers.size(); ++i) {
-      add_edge(node_.at(installers[i]), node_.at(installers[i + 1]), kWW, key);
+      add_edge(node.at(installers[i]), node.at(installers[i + 1]), kWW, key);
     }
   }
 
   // Read- and anti-dependencies.
   for (const HistTxn& t : h.txns()) {
     if (!t.committed) continue;
-    const std::size_t reader = node_.at(t.id);
+    const std::size_t reader = node.at(t.id);
     for (const Event& e : t.events) {
       if (e.type != EventType::kRead) continue;
       const TxnId w = e.version.writer;
@@ -56,20 +69,21 @@ Dsg::Dsg(const History& h) {
         if (h.by_id(w).final_write_seq(e.key) != e.version.seq) continue;  // G1b
         const auto pos = version_pos(installers, w);
         if (!pos.has_value()) continue;
-        add_edge(node_.at(w), reader, kWR, e.key);
+        add_edge(node.at(w), reader, kWR, e.key);
         // Anti-dependency to the installer of the *next* version, if any.
         const std::size_t next = static_cast<std::size_t>(*pos) + 1;
         if (next < installers.size()) {
-          add_edge(reader, node_.at(installers[next]), kRW, e.key);
+          add_edge(reader, node.at(installers[next]), kRW, e.key);
         }
       } else {
         // Read of ⊥: anti-depends on the first installer of the key.
         if (!installers.empty()) {
-          add_edge(reader, node_.at(installers.front()), kRW, e.key);
+          add_edge(reader, node.at(installers.front()), kRW, e.key);
         }
       }
     }
   }
+  index_edges();
 }
 
 bool Dsg::add_start_edges(const History& h) {
@@ -78,16 +92,17 @@ bool Dsg::add_start_edges(const History& h) {
       return false;
     }
   }
+  const std::unordered_map<TxnId, std::size_t> node = nodes_of(h);
   for (const HistTxn& a : h.txns()) {
     if (!a.committed) continue;
     for (const HistTxn& b : h.txns()) {
       if (!b.committed || a.id == b.id) continue;
       if (a.commit_ts < b.start_ts) {
-        adj_[node_.at(a.id)].push_back(edges_.size());
-        edges_.push_back({node_.at(a.id), node_.at(b.id), kSD, Key{}});
+        edges_.push_back({node.at(a.id), node.at(b.id), kSD, Key{}});
       }
     }
   }
+  index_edges();
   return true;
 }
 
@@ -97,16 +112,17 @@ bool Dsg::add_realtime_edges(const History& h) {
       return false;
     }
   }
+  const std::unordered_map<TxnId, std::size_t> node = nodes_of(h);
   for (const HistTxn& a : h.txns()) {
     if (!a.committed) continue;
     for (const HistTxn& b : h.txns()) {
       if (!b.committed || a.id == b.id) continue;
       if (a.commit_ts < b.start_ts) {
-        adj_[node_.at(a.id)].push_back(edges_.size());
-        edges_.push_back({node_.at(a.id), node_.at(b.id), kRT, Key{}});
+        edges_.push_back({node.at(a.id), node.at(b.id), kRT, Key{}});
       }
     }
   }
+  index_edges();
   return true;
 }
 
@@ -129,8 +145,9 @@ std::vector<TxnId> Dsg::find_cycle(std::uint8_t mask) const {
     while (!stack.empty()) {
       const std::size_t u = stack.back();
       bool advanced = false;
-      while (edge_iter[u] < adj_[u].size()) {
-        const Edge& e = edges_[adj_[u][edge_iter[u]++]];
+      const std::span<const Arc> out = out_edges(u);
+      while (edge_iter[u] < out.size()) {
+        const Arc& e = out[edge_iter[u]++];
         if (!(e.kind & mask)) continue;
         if (color[e.to] == kGray) {
           // Cycle: from e.to up the stack to u.
@@ -155,57 +172,100 @@ std::vector<TxnId> Dsg::find_cycle(std::uint8_t mask) const {
   return {};
 }
 
-bool Dsg::reachable(std::size_t from, std::size_t to, std::uint8_t mask) const {
+std::vector<std::uint32_t> Dsg::components(std::uint8_t mask) const {
+  // Iterative Tarjan: a serial history's dependency chains are as deep as the
+  // history, far past what recursion could take.
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  const std::size_t n = size();
+  std::vector<std::uint32_t> index(n, kNone), low(n, 0), comp(n, kNone);
+  std::vector<std::size_t> stack;                          // Tarjan's node stack
+  std::vector<std::pair<std::size_t, std::size_t>> frames;  // (node, next out-edge)
+  std::uint32_t next_index = 0, next_comp = 0;
+  auto visit = [&](std::size_t v) {
+    index[v] = low[v] = next_index++;
+    stack.push_back(v);
+    frames.emplace_back(v, 0);
+  };
+  for (std::size_t root = 0; root < n; ++root) {
+    if (index[root] != kNone) continue;
+    visit(root);
+    while (!frames.empty()) {
+      const std::size_t u = frames.back().first;
+      std::size_t& slot = frames.back().second;
+      const std::span<const Arc> out = out_edges(u);
+      if (slot < out.size()) {
+        const Arc& e = out[slot++];
+        if (!(e.kind & mask)) continue;
+        if (index[e.to] == kNone) {
+          visit(e.to);
+        } else if (comp[e.to] == kNone) {  // still on the stack
+          low[u] = std::min(low[u], index[e.to]);
+        }
+        continue;
+      }
+      frames.pop_back();
+      if (!frames.empty()) {
+        const std::size_t caller = frames.back().first;
+        low[caller] = std::min(low[caller], low[u]);
+      }
+      if (low[u] == index[u]) {
+        std::size_t v;
+        do {
+          v = stack.back();
+          stack.pop_back();
+          comp[v] = next_comp;
+        } while (v != u);
+        ++next_comp;
+      }
+    }
+  }
+  return comp;
+}
+
+bool Dsg::bfs_within(std::size_t from, std::size_t to, std::uint8_t mask,
+                     const std::vector<std::uint32_t>& comp,
+                     std::vector<std::ptrdiff_t>& parent,
+                     std::vector<std::size_t>& visited) const {
+  // Nodes outside comp[to] cannot reach `to`, so they never discover a node
+  // inside it: skipping them leaves the BFS tree over the component as an
+  // unconfined search would build it.
+  visited.assign(1, from);
+  parent[from] = static_cast<std::ptrdiff_t>(from);
   if (from == to) return true;
-  std::vector<bool> seen(size(), false);
-  std::deque<std::size_t> queue{from};
-  seen[from] = true;
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop_front();
-    for (std::size_t ei : adj_[u]) {
-      const Edge& e = edges_[ei];
-      if (!(e.kind & mask) || seen[e.to]) continue;
+  for (std::size_t head = 0; head < visited.size(); ++head) {
+    const std::size_t u = visited[head];
+    for (const Arc& e : out_edges(u)) {
+      if (!(e.kind & mask) || parent[e.to] != -1 || comp[e.to] != comp[to]) continue;
+      parent[e.to] = static_cast<std::ptrdiff_t>(u);
+      visited.push_back(e.to);
       if (e.to == to) return true;
-      seen[e.to] = true;
-      queue.push_back(e.to);
     }
   }
   return false;
 }
 
 bool Dsg::cycle_with_exactly_one(EdgeKind single, std::uint8_t others) const {
+  if ((others & single) == 0) return !find_cycle_with_exactly_one(single, others).empty();
+  // "At least one": an edge closes a cycle iff its ends share a component.
+  const std::vector<std::uint32_t> comp = components(others);
   for (const Edge& e : edges_) {
-    if (e.kind != single) continue;
-    if (reachable(e.to, e.from, others)) return true;
+    if (e.kind == single && comp[e.from] == comp[e.to]) return true;
   }
   return false;
 }
 
 std::vector<TxnId> Dsg::find_cycle_with_exactly_one(EdgeKind single,
                                                     std::uint8_t others) const {
+  const std::vector<std::uint32_t> comp = components(others | single);
+  std::vector<std::ptrdiff_t> parent(size(), -1);
+  std::vector<std::size_t> visited;
   for (const Edge& start : edges_) {
-    if (start.kind != single) continue;
+    if (start.kind != single || comp[start.from] != comp[start.to]) continue;
     // BFS from start.to back to start.from over `others`, keeping parents.
-    std::vector<std::ptrdiff_t> parent(size(), -1);
-    std::deque<std::size_t> queue{start.to};
-    parent[start.to] = static_cast<std::ptrdiff_t>(start.to);
-    bool found = start.to == start.from;
-    while (!queue.empty() && !found) {
-      const std::size_t u = queue.front();
-      queue.pop_front();
-      for (std::size_t ei : adj_[u]) {
-        const Edge& e = edges_[ei];
-        if (!(e.kind & others) || parent[e.to] != -1) continue;
-        parent[e.to] = static_cast<std::ptrdiff_t>(u);
-        if (e.to == start.from) {
-          found = true;
-          break;
-        }
-        queue.push_back(e.to);
-      }
+    if (!bfs_within(start.to, start.from, others, comp, parent, visited)) {
+      for (std::size_t v : visited) parent[v] = -1;
+      continue;
     }
-    if (!found) continue;
     std::vector<TxnId> cycle;
     std::size_t node = start.from;
     while (node != start.to) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,12 +32,31 @@ struct Edge {
   Key key{};  // the conflicting key (meaningless for kSD / kRT)
 };
 
+/// An out-edge as the graph searches see it: target and kind only, eight
+/// bytes, so a traversal streams a compact array instead of whole Edges.
+struct Arc {
+  std::uint32_t to = 0;
+  EdgeKind kind = kWW;
+};
+
 /// Per-key install orders over a compiled history: `by_key[k]` lists the
 /// dense indices of key k's installers in version order (⊥ implicit at the
 /// front). This is the interned counterpart of History::version_order() —
 /// building it validates the order exactly as the History constructor does.
 struct InstallOrders {
   std::vector<std::vector<model::TxnIdx>> by_key;  // indexed by KeyIdx
+  /// Install rank of every write, parallel to the compiled write footprint:
+  /// rank[ch.write_slot(d, k)] is d's position in by_key[k]. Every committed
+  /// write is ranked (the order is validated complete).
+  std::vector<std::uint32_t> rank;
+
+  /// Position of d's version of k in k's order; -1 when d does not write k.
+  std::ptrdiff_t rank_of(const model::CompiledHistory& ch, model::TxnIdx d,
+                         model::KeyIdx k) const {
+    const std::uint32_t slot = ch.write_slot(d, k);
+    if (slot == model::CompiledHistory::kNoSlot) return -1;
+    return static_cast<std::ptrdiff_t>(rank[slot]);
+  }
 };
 
 /// Intern and validate a client-supplied version order against a compiled
@@ -44,8 +64,9 @@ struct InstallOrders {
 /// order for keys with at most one committed writer, and throws
 /// std::invalid_argument with the same messages on a multi-writer key
 /// missing from the order, an order naming an unknown transaction or a
-/// non-writer, or an order missing a committed writer. `version_order` may
-/// be null (treated as empty).
+/// non-writer, a writer listed twice, or an order missing a committed
+/// writer. `version_order` may be null (treated as empty). Linear in the
+/// history's footprint plus the order's length.
 InstallOrders compile_install_orders(
     const model::CompiledHistory& ch,
     const std::unordered_map<Key, std::vector<TxnId>>* version_order);
@@ -68,10 +89,12 @@ class Dsg {
 
   std::size_t size() const { return ids_.size(); }
   TxnId id_of(std::size_t node) const { return ids_[node]; }
-  std::size_t node_of(TxnId id) const { return node_.at(id); }
-  bool has_node(TxnId id) const { return node_.contains(id); }
 
   const std::vector<Edge>& edges() const { return edges_; }
+  /// The edges leaving `node`, in insertion order.
+  std::span<const Arc> out_edges(std::size_t node) const {
+    return {out_.data() + out_begin_[node], out_.data() + out_begin_[node + 1]};
+  }
 
   /// Add T_i --sd--> T_j edges for every pair with commit(T_i) < start(T_j).
   /// Requires timestamps on all committed transactions; returns false (and
@@ -93,7 +116,13 @@ class Dsg {
   bool has_cycle(std::uint8_t mask) const;
 
   /// Is there a directed cycle containing exactly one edge of kind `single`
-  /// and otherwise only edges in `others`? (G-Single, G-SIb.)
+  /// and otherwise only edges in `others`? (G-Single, G-SIb; G2 when
+  /// `others` includes `single`, i.e. "a cycle with at least one".) Such a
+  /// cycle lies inside one strongly connected component of the graph over
+  /// `others | single`, so the components are computed once (iterative
+  /// Tarjan): when `others` includes `single` the answer is whether some
+  /// `single` edge has both ends in one component — linear time; otherwise
+  /// only the `single` edges inside a component get a BFS, confined to it.
   bool cycle_with_exactly_one(EdgeKind single, std::uint8_t others) const;
 
   /// Nodes of one such cycle (for diagnostics), empty if none.
@@ -101,17 +130,38 @@ class Dsg {
 
   /// Nodes of a cycle consisting of exactly one `single` edge plus edges in
   /// `others` (the G-Single / G-SIb shape), empty if none. The returned
-  /// sequence starts at the `single` edge's source.
+  /// sequence starts at the `single` edge's source. The closing edge is the
+  /// first in edge order that has a cycle, and the path is BFS's shortest;
+  /// the component prefilter (see above) only skips edges and nodes that
+  /// cannot be on such a cycle, so neither depends on it.
   std::vector<TxnId> find_cycle_with_exactly_one(EdgeKind single,
                                                  std::uint8_t others) const;
 
  private:
-  bool reachable(std::size_t from, std::size_t to, std::uint8_t mask) const;
+  /// Strongly connected component of every node over edges in `mask`.
+  std::vector<std::uint32_t> components(std::uint8_t mask) const;
+
+  /// BFS from `from` towards `to` over edges in `mask`, confined to the
+  /// component comp[to]. `parent` (sized size(), all -1 on entry) receives
+  /// the BFS tree; `visited` lists the nodes it set, for the caller to reset.
+  bool bfs_within(std::size_t from, std::size_t to, std::uint8_t mask,
+                  const std::vector<std::uint32_t>& comp,
+                  std::vector<std::ptrdiff_t>& parent,
+                  std::vector<std::size_t>& visited) const;
+
+  void add_edge(std::size_t from, std::size_t to, EdgeKind kind, Key key) {
+    if (from != to) edges_.push_back({from, to, kind, key});
+  }
+  /// Rebuild the out-edge index after edges_ grew: a stable counting sort by
+  /// source, so each node's out-edges keep their insertion order.
+  void index_edges();
 
   std::vector<TxnId> ids_;
-  std::unordered_map<TxnId, std::size_t> node_;
   std::vector<Edge> edges_;
-  std::vector<std::vector<std::size_t>> adj_;   // indices into edges_, by from-node
+  // Out-edge index (CSR): out_[out_begin_[u] .. out_begin_[u+1]) are u's
+  // out-edges.
+  std::vector<std::size_t> out_begin_;
+  std::vector<Arc> out_;
 };
 
 std::string to_string(EdgeKind k);

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -32,6 +33,15 @@ struct Version {
 };
 
 inline constexpr Version kInitialVersion{kInitTxn, 1};
+
+/// The error for a writer listed twice in one key's version order. A writer
+/// installs one version per key, so a repeat is malformed input, never a
+/// cycle; History::validate and adya::compile_install_orders both reject it
+/// with this message.
+inline std::string repeated_installer_message(Key k, TxnId id) {
+  return "version order lists " + crooks::to_string(id) + " twice for " +
+         crooks::to_string(k);
+}
 
 enum class EventType : std::uint8_t { kRead, kWrite };
 
@@ -69,6 +79,14 @@ struct HistTxn {
   bool writes(Key k) const { return final_write_seq(k).has_value(); }
 };
 
+/// Hash of a (transaction, key) pair: one write of one transaction.
+struct TxnKeyHash {
+  std::size_t operator()(const std::pair<TxnId, Key>& p) const {
+    return std::hash<TxnId>{}(p.first) * 0x9e3779b97f4a7c15ULL ^
+           std::hash<Key>{}(p.second);
+  }
+};
+
 /// A history: transactions (committed and aborted) plus the total version
 /// order << on committed object versions (Definition A.1). The initial ⊥
 /// version of every key is implicit at the front of each key's order.
@@ -103,6 +121,9 @@ class History {
 
  private:
   void validate() const {
+    // Every (key, installer) pair, so completeness below is one probe per
+    // write instead of a scan of the key's whole order.
+    std::unordered_set<std::pair<TxnId, Key>, TxnKeyHash> listed;
     for (const auto& [key, order] : version_order_) {
       for (TxnId id : order) {
         auto it = index_.find(id);
@@ -114,6 +135,9 @@ class History {
           throw std::invalid_argument(
               "version order must contain exactly the committed writers of the key");
         }
+        if (!listed.emplace(id, key).second) {
+          throw std::invalid_argument(repeated_installer_message(key, id));
+        }
       }
     }
     // Completeness: << is a *total* order on committed versions (Def. A.1),
@@ -122,8 +146,7 @@ class History {
       if (!t.committed) continue;
       for (const Event& e : t.events) {
         if (e.type != EventType::kWrite) continue;
-        const auto& order = installers(e.key);
-        if (std::find(order.begin(), order.end(), t.id) == order.end()) {
+        if (!listed.contains({t.id, e.key})) {
           throw std::invalid_argument("version order misses a committed writer of " +
                                       crooks::to_string(e.key));
         }
@@ -228,14 +251,9 @@ class HistoryBuilder {
   }
 
  private:
-  struct PairHash {
-    std::size_t operator()(const std::pair<TxnId, Key>& p) const {
-      return std::hash<TxnId>{}(p.first) * 0x9e3779b97f4a7c15ULL ^ std::hash<Key>{}(p.second);
-    }
-  };
   std::unordered_map<TxnId, HistTxn> open_;
   std::vector<HistTxn> done_;
-  std::unordered_map<std::pair<TxnId, Key>, std::uint32_t, PairHash> write_seq_;
+  std::unordered_map<std::pair<TxnId, Key>, std::uint32_t, TxnKeyHash> write_seq_;
   std::unordered_map<Key, std::vector<TxnId>> explicit_order_;
 };
 

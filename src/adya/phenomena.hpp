@@ -48,9 +48,11 @@ Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io);
 /// cycles) need the start/real-time edge sets, which are Θ(n²) edges on a
 /// mostly-serial history — asking about Read Committed must not pay for
 /// them. The full detect() above remains the reference the equivalence
-/// tests pin this against.
+/// tests pin this against. A caller that already holds Dsg(ch, io) passes
+/// it as `dsg` and it is not built again (the graph engine sorts its
+/// witness over the same graph).
 Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io,
-                 ct::IsolationLevel level);
+                 ct::IsolationLevel level, const Dsg* dsg = nullptr);
 
 enum class Verdict {
   kSatisfied,

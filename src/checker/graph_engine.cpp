@@ -21,8 +21,10 @@
 // Everything found is re-verified against the canonical commit tests before
 // being reported — the engine never returns an unchecked witness.
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <queue>
+#include <tuple>
 
 #include "adya/graph.hpp"
 #include "adya/phenomena.hpp"
@@ -57,36 +59,33 @@ std::vector<TxnId> topo_order(const adya::Dsg& dsg, std::uint8_t mask,
                               const CompiledHistory& ch, GraphEffort& eff) {
   const std::size_t n = dsg.size();
   std::vector<std::size_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> out(n);
   for (const adya::Edge& e : dsg.edges()) {
     if (!(e.kind & mask)) continue;
-    out[e.from].push_back(e.to);
     ++indegree[e.to];
     ++eff.edges;
   }
 
-  auto later = [&](std::size_t a, std::size_t b) {
-    const auto ta = static_cast<TxnIdx>(a);
-    const auto tb = static_cast<TxnIdx>(b);
-    if (ch.commit_ts(ta) != ch.commit_ts(tb)) {
-      return ch.commit_ts(ta) > ch.commit_ts(tb);
-    }
-    return ch.id_of(ta) > ch.id_of(tb);
+  // Min-heap on (commit_ts, id); the keys ride in the heap entries so a
+  // comparison never reaches back into the history's columns.
+  using Ready = std::tuple<Timestamp, TxnId, std::size_t>;
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  auto push = [&](std::size_t v) {
+    const auto d = static_cast<TxnIdx>(v);
+    ready.emplace(ch.commit_ts(d), ch.id_of(d), v);
   };
-  std::priority_queue<std::size_t, std::vector<std::size_t>, decltype(later)> ready(later);
   for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push(i);
+    if (indegree[i] == 0) push(i);
   }
 
   std::vector<TxnId> order;
   order.reserve(n);
   while (!ready.empty()) {
-    const std::size_t u = ready.top();
+    const std::size_t u = std::get<2>(ready.top());
     ready.pop();
     ++eff.nodes;
     order.push_back(dsg.id_of(u));
-    for (std::size_t v : out[u]) {
-      if (--indegree[v] == 0) ready.push(v);
+    for (const adya::Arc& e : dsg.out_edges(u)) {
+      if ((e.kind & mask) != 0 && --indegree[e.to] == 0) push(e.to);
     }
   }
   if (order.size() != n) {
@@ -205,8 +204,10 @@ CheckResult check_graph_impl(IsolationLevel level, const CompiledHistory& ch,
     const adya::InstallOrders io = adya::compile_install_orders(ch, opts.version_order);
     // Level-scoped detection: asking about a weak level must not build the
     // SI-family start/real-time edge sets, which are Θ(n²) on serial
-    // histories.
-    const adya::Phenomena p = adya::detect(ch, io, level);
+    // histories. Every untimed level consults a DSG phenomenon, so the
+    // graph is built once here and shared with the witness sort below.
+    adya::Dsg dsg(ch, io);
+    const adya::Phenomena p = adya::detect(ch, io, level, &dsg);
     const adya::Verdict verdict = adya::satisfies(p, level);
     if (verdict == adya::Verdict::kViolated) {
       // Cold path: lift into an Adya history only to render the diagnosis.
@@ -216,7 +217,6 @@ CheckResult check_graph_impl(IsolationLevel level, const CompiledHistory& ch,
               0};
     }
     if (verdict == adya::Verdict::kSatisfied) {
-      adya::Dsg dsg(ch, io);
       std::uint8_t mask = witness_mask(level);
       if (level == IsolationLevel::kStrictSerializable) {
         if (!dsg.add_realtime_edges(ch)) {

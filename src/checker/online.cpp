@@ -33,7 +33,8 @@ obs::Counter& online_duplicates_total() {
 obs::Histogram& online_block_seconds() {
   static obs::Histogram& h = obs::Registry::global().histogram(
       "crooks_online_block_seconds",
-      "Latency of one online ingest (compile delta + evaluate block)");
+      "Latency of evaluating one ingested block (the compile delta is "
+      "crooks_compile_extend_seconds)");
   return h;
 }
 obs::Counter& online_fallback_total() {

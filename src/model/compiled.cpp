@@ -91,44 +91,38 @@ void CompiledHistory::compile_block(TxnIdx first) {
 
   // Pass 1: intern every key of the block in first-appearance order so KeyIdx
   // assignment is deterministic across runs and thread counts — and identical
-  // whether the history was compiled whole or grown block by block.
+  // whether the history was compiled whole or grown block by block. Each op's
+  // KeyIdx goes straight into op_key_, so passes 2 and 3 never hash a key.
+  const std::size_t block_op0 = op_key_.size();
   for (TxnIdx d = first; d < n; ++d) {
-    for (const Operation& op : txns.at(d).ops()) keys_.intern(op.key);
+    for (const Operation& op : txns.at(d).ops()) op_key_.push_back(keys_.intern(op.key));
   }
   const std::size_t kc = keys_.size();
   writers_of_.rows.resize(kc);
   if (written_scratch_.size() < kc) written_scratch_.resize(kc, 0);
 
-  // Pass 2: write footprints (sorted dense arrays + bitset masks). Every key a
-  // transaction writes appears among its ops, so find() always resolves. Masks
-  // are sized to the key universe at this block — writes_key() guards reads
-  // with later-interned keys.
-  // Reserve only on the first (bulk) compile: re-reserving to exactly n on
-  // every extend would reallocate the whole vector per block, turning a long
-  // stream of small appends quadratic. Later blocks rely on push_back's
-  // amortized geometric growth instead.
-  if (write_mask_.empty()) write_mask_.reserve(n);
-  for (TxnIdx d = first; d < n; ++d) {
-    const Transaction& t = txns.at(d);
-    DynamicBitset mask(kc);
-    std::vector<KeyIdx> wk;
-    wk.reserve(t.write_set().size());
-    for (Key k : t.write_set()) {
-      const KeyIdx ki = keys_.find(k);
-      mask.set(ki);
-      wk.push_back(ki);
+  // Pass 2: write footprints, as sorted dense arrays built from the write ops
+  // (a transaction writes a key at most once — the Transaction constructor
+  // enforces it — so the write ops are exactly its write set).
+  {
+    std::size_t at = block_op0;
+    for (TxnIdx d = first; d < n; ++d) {
+      const std::size_t from = write_keys_.size();
+      for (const Operation& op : txns.at(d).ops()) {
+        if (op.is_write()) write_keys_.push_back(op_key_[at]);
+        ++at;
+      }
+      std::sort(write_keys_.begin() + static_cast<std::ptrdiff_t>(from),
+                write_keys_.end());
+      wk_begin_.push_back(static_cast<std::uint32_t>(write_keys_.size()));
     }
-    std::sort(wk.begin(), wk.end());
-    write_keys_.insert(write_keys_.end(), wk.begin(), wk.end());
-    wk_begin_.push_back(static_cast<std::uint32_t>(write_keys_.size()));
-    write_mask_.push_back(std::move(mask));
   }
 
   // Pass 3: classify every operation into a flags byte (OpClass is derived
   // from it by op_class_of, whose table mirrors the branch order of
   // ReadStateAnalysis::read_states_of exactly: phantom before internal before
-  // self before unknown-writer before writer-misses-key). `contains` sees the
-  // prefix plus the whole block, so intra-block forward references resolve;
+  // self before unknown-writer before writer-misses-key). The writer lookup
+  // sees the prefix plus the whole block, so intra-block forward references resolve;
   // only writers absent from the entire set-so-far stay unknown (and are
   // queued in `pending_` for re-resolution by a later block).
   start_ts_.resize(n);
@@ -136,7 +130,8 @@ void CompiledHistory::compile_block(TxnIdx first) {
   session_.resize(n);
   ids_.resize(n);
   level_tag_.resize(n, kNoLevelTag);
-  std::vector<KeyIdx> touched;
+  std::vector<KeyIdx> touched, rk;
+  std::size_t at = block_op0;  // op cursor into op_key_ (filled by pass 1)
   for (TxnIdx d = first; d < n; ++d) {
     const Transaction& t = txns.at(d);
     ids_[d] = t.id();
@@ -150,12 +145,11 @@ void CompiledHistory::compile_block(TxnIdx first) {
     if (!t.has_timestamps()) all_timestamped_ = false;
 
     touched.clear();
-    std::vector<KeyIdx> rk;
+    rk.clear();
     for (std::size_t oi = 0; oi < t.ops().size(); ++oi) {
       const Operation& op = t.ops()[oi];
-      const KeyIdx ck = keys_.find(op.key);
+      const KeyIdx ck = op_key_[at++];
       if (op.is_write()) {
-        op_key_.push_back(ck);
         op_writer_.push_back(kNoTxnIdx);
         op_flags_.push_back(kOpWrite);
         written_scratch_[ck] = 1;
@@ -168,7 +162,8 @@ void CompiledHistory::compile_block(TxnIdx first) {
       const bool positional_internal = written_scratch_[ck] != 0;
       const bool is_self = w == t.id();
       const bool is_init = w == kInitTxn;
-      const bool known = !is_init && txns.contains(w);
+      const std::size_t wd = is_init ? TransactionSet::npos : txns.dense_index_if(w);
+      const bool known = wd != TransactionSet::npos;
       std::uint8_t m = 0;
       TxnIdx cw = kNoTxnIdx;
       if (op.value.phantom) m |= kOpPhantom;
@@ -177,16 +172,15 @@ void CompiledHistory::compile_block(TxnIdx first) {
       if (!is_init && !known) m |= kOpUnknownWriter;
       if (positional_internal) m |= kOpPositionalInternal;
       if (known) {
-        cw = static_cast<TxnIdx>(txns.dense_index_of(w));
+        cw = static_cast<TxnIdx>(wd);
         // Compiled footprint, not txns.at(cw).writes(): pass 2 already built
-        // the block's masks, prefix masks exist, and retired writers (whose
-        // Transaction payloads are stubs) answer from their retained sorted
-        // footprint — all three exactly as a whole-set compile would.
+        // the block's footprints, and retired writers (whose Transaction
+        // payloads are stubs) keep theirs — exactly as a whole-set compile
+        // would answer.
         if (!writes_key(cw, ck)) m |= kOpWriterMissesKey;
       } else if (!is_init && owned_ != nullptr) {
         pending_[w].emplace_back(d, static_cast<std::uint32_t>(oi));
       }
-      op_key_.push_back(ck);
       op_writer_.push_back(cw);
       op_flags_.push_back(m);
     }
@@ -315,11 +309,6 @@ CompiledHistory::RetireStats CompiledHistory::retire(TxnIdx upto) {
   // Read-key footprints (write footprints are retained — see writes_key()).
   drop_front(read_keys_, rk_begin_[upto] - rk_base_);
   rk_base_ = rk_begin_[upto];
-
-  // Per-transaction write masks (each sized to the key universe — the
-  // O(txns × keys) term retirement exists to cap).
-  write_mask_.erase(write_mask_.begin(),
-                    write_mask_.begin() + static_cast<std::ptrdiff_t>(upto - first));
 
   // The owned Transaction payloads (ops vector + read/write hash sets, the
   // dominant per-transaction footprint). Ids and scalars survive, so

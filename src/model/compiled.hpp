@@ -10,8 +10,9 @@
 //     phantom / unknown-writer / internal-read classification precomputed as
 //     a flags byte (so search-time interval logic is a table lookup on a
 //     byte, not a chain of hash probes),
-//   * per-transaction read/write footprints are sorted dense arrays plus a
-//     per-transaction `DynamicBitset` write mask (O(1) "does T write k"),
+//   * per-transaction read/write footprints are sorted dense arrays ("does T
+//     write k" is a binary search of T's few write keys, so memory grows
+//     with the history's footprint, never with transactions × keys),
 //   * per-key committed-writer lists are rows over `KeyIdx`,
 //   * read-from edges are the `kReadExternal` ops themselves (writer already
 //     dense), and
@@ -59,7 +60,6 @@
 #include <vector>
 
 #include "committest/levels.hpp"
-#include "common/bitset.hpp"
 #include "common/ids.hpp"
 #include "model/transaction.hpp"
 
@@ -266,7 +266,7 @@ class CompiledHistory {
   //
   // retire(upto) folds the prefix [0, upto) into a summarized base state so a
   // monitor can run forever: the per-op SoA arrays, read-key footprints,
-  // write masks, materialized adjacency rows and the owned Transaction
+  // materialized adjacency rows and the owned Transaction
   // payloads of the prefix are reclaimed; everything a *future* append can
   // still be judged against is retained, at a flat few dozen bytes per
   // retired transaction:
@@ -276,15 +276,15 @@ class CompiledHistory {
   //     retroactive real-time inversion scans stay EXACT over retired ids,
   //   * the offset arrays (op_begin_, wk/rk_begin_) — op counts stay known,
   //   * the sorted write-key footprints (write_keys_ + writers_of_) — so
-  //     writes_key() stays exact forever (resident transactions use the
-  //     bitset mask; retired ones binary-search their retained span),
+  //     writes_key() stays exact forever, on the same binary search for
+  //     resident and retired transactions,
   //   * ts_order_ — splicing in extend() is untouched.
   //
   // Dense indices are stable (a stable-offset scheme, not a remap): ops(d)
   // subtracts a base offset, so extend() after retire() appends exactly the
   // bytes an unretired twin would — bit-identical for every resident field,
   // asserted by tests/online_window_test.cpp. Accessing the reclaimed fields
-  // of a retired transaction (ops(), read_keys(), write_mask()) is undefined;
+  // of a retired transaction (ops(), read_keys()) is undefined;
   // callers must check `d >= retired()` first. The offline engines refuse
   // retired histories outright (they answer ∃e over the full history).
   struct RetireStats {
@@ -341,24 +341,25 @@ class CompiledHistory {
   }
 
   /// Membership test on the write footprint — exact for every transaction
-  /// ever appended, retired or not. Resident transactions test their bitset
-  /// mask in O(1); retired ones binary-search the retained sorted footprint
-  /// (the masks, sized to the whole key universe, are what retire()
-  /// reclaims). Safe for keys interned after `d` was compiled (a grown
-  /// history's masks are not retro-widened): a transaction never writes a
-  /// key first revealed by a later block.
-  bool writes_key(TxnIdx d, KeyIdx k) const {
-    if (d >= retired_) {
-      const DynamicBitset& m = write_mask_[d - retired_];
-      return k < m.size() && m.test(k);
-    }
+  /// ever appended, retired or not: a binary search of the sorted
+  /// `write_keys(d)` span, which retire() keeps. Safe for keys interned
+  /// after `d` was compiled (a transaction never writes a key first revealed
+  /// by a later block, so the search simply misses).
+  bool writes_key(TxnIdx d, KeyIdx k) const { return write_slot(d, k) != kNoSlot; }
+
+  /// Absolute position of (d, k) in the concatenated write footprints, or
+  /// kNoSlot when `d` does not write `k`. Slots are dense in
+  /// [0, write_slot_count()) and stable across extend() and retire(), so a
+  /// consumer can keep per-(writer, key) data in a plain vector parallel to
+  /// the footprints (adya::InstallOrders keeps each write's install rank).
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::uint32_t write_slot(TxnIdx d, KeyIdx k) const {
     const std::span<const KeyIdx> wk = write_keys(d);
-    return std::binary_search(wk.begin(), wk.end(), k);
+    const auto it = std::lower_bound(wk.begin(), wk.end(), k);
+    if (it == wk.end() || *it != k) return kNoSlot;
+    return wk_begin_[d] + static_cast<std::uint32_t>(it - wk.begin());
   }
-  /// Undefined for d < retired().
-  const DynamicBitset& write_mask(TxnIdx d) const {
-    return write_mask_[d - retired_];
-  }
+  std::size_t write_slot_count() const { return write_keys_.size(); }
 
   /// Committed writers of a key, in dense (declaration) order.
   std::span<const TxnIdx> writers_of(KeyIdx k) const { return writers_of_.row(k); }
@@ -449,7 +450,6 @@ class CompiledHistory {
   std::vector<std::uint32_t> op_begin_;
   std::vector<KeyIdx> write_keys_, read_keys_;
   std::vector<std::uint32_t> wk_begin_, rk_begin_;
-  std::vector<DynamicBitset> write_mask_;  // resident only: index d - retired_
   Rows writers_of_;  // rows indexed by KeyIdx
 
   // Retirement state: [0, retired_) is folded. ops_base_/rk_base_ are the

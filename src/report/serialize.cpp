@@ -1,8 +1,10 @@
 #include "report/serialize.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_set>
 
 #include "report/tokenizer.hpp"
 
@@ -42,6 +44,8 @@ ct::IsolationLevel parse_level(std::string_view s, std::size_t line) {
 Observations parse_observations(std::istream& in) {
   std::vector<model::Transaction> txns;
   std::unordered_map<Key, std::vector<TxnId>> vo;
+  std::unordered_map<Key, std::unordered_set<TxnId>> vo_seen;  // keys on 2+ lines
+  std::vector<TxnId> sorted_ids;                               // reused scratch
   std::optional<ct::IsolationLevel> default_level;
 
   std::string line;
@@ -135,9 +139,30 @@ Observations parse_observations(std::istream& in) {
     } else if (tok[0] == "vo") {
       if (open) fail(lineno, "'vo' inside a transaction");
       if (tok.size() < 2) fail(lineno, "vo needs: vo <key> <id...>");
-      auto& order = vo[Key{parse_number<std::uint64_t>(tok[1], lineno, "key")}];
+      const Key key{parse_number<std::uint64_t>(tok[1], lineno, "key")};
+      auto& order = vo[key];
+      const std::size_t before = order.size();
       for (std::size_t i = 2; i < tok.size(); ++i) {
         order.push_back(TxnId{parse_number<std::uint64_t>(tok[i], lineno, "txn id")});
+      }
+      // A writer installs one version per key; a repeat would read as a
+      // cycle. A key's first line is checked by sorting a copy; a key
+      // continued over more lines keeps a set of the ids seen so far.
+      auto repeated = [&](TxnId w) {
+        fail(lineno, "vo lists " + crooks::to_string(w) + " twice for " +
+                         crooks::to_string(key));
+      };
+      if (before == 0) {
+        sorted_ids.assign(order.begin(), order.end());
+        std::sort(sorted_ids.begin(), sorted_ids.end());
+        const auto rep = std::adjacent_find(sorted_ids.begin(), sorted_ids.end());
+        if (rep != sorted_ids.end()) repeated(*rep);
+      } else {
+        auto [seen, fresh] = vo_seen.try_emplace(key);
+        if (fresh) seen->second.insert(order.begin(), order.begin() + before);
+        for (auto it = order.begin() + before; it != order.end(); ++it) {
+          if (!seen->second.insert(*it).second) repeated(*it);
+        }
       }
     } else if (tok[0] == "default-level") {
       if (open) fail(lineno, "'default-level' inside a transaction");

@@ -2,9 +2,19 @@
 // the history↔observation bridges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "adya/graph.hpp"
 #include "adya/history.hpp"
 #include "adya/phenomena.hpp"
+#include "model/compiled.hpp"
 
 namespace crooks::adya {
 namespace {
@@ -264,6 +274,177 @@ TEST(Dsg, FindCycleWithExactlyOneAntiDependency) {
   EXPECT_EQ(cycle[1], TxnId{1});
   // No such cycle among dependencies alone.
   EXPECT_TRUE(g.find_cycle_with_exactly_one(kWR, kWR).empty());
+}
+
+// --- Component prefilter vs the per-edge search ------------------------------
+
+/// The per-edge search cycle_with_exactly_one / find_cycle_with_exactly_one
+/// ran before the strongly-connected-component prefilter: one unconfined BFS
+/// per `single` edge, over edges in `others`. Kept here as the oracle.
+struct PerEdgeSearch {
+  const Dsg& g;
+  std::vector<std::vector<std::size_t>> out;  // edge indices by source, in edge order
+
+  explicit PerEdgeSearch(const Dsg& dsg) : g(dsg), out(dsg.size()) {
+    for (std::size_t i = 0; i < g.edges().size(); ++i) {
+      out[g.edges()[i].from].push_back(i);
+    }
+  }
+
+  /// BFS parents from `from` (-1 = unreached), stopping once `to` is reached.
+  std::vector<std::ptrdiff_t> bfs(std::size_t from, std::size_t to,
+                                  std::uint8_t mask) const {
+    std::vector<std::ptrdiff_t> parent(g.size(), -1);
+    std::deque<std::size_t> queue{from};
+    parent[from] = static_cast<std::ptrdiff_t>(from);
+    while (!queue.empty() && parent[to] == -1) {
+      const std::size_t u = queue.front();
+      queue.pop_front();
+      for (std::size_t ei : out[u]) {
+        const Edge& e = g.edges()[ei];
+        if (!(e.kind & mask) || parent[e.to] != -1) continue;
+        parent[e.to] = static_cast<std::ptrdiff_t>(u);
+        if (e.to == to) break;
+        queue.push_back(e.to);
+      }
+    }
+    return parent;
+  }
+
+  std::vector<TxnId> find(EdgeKind single, std::uint8_t others) const {
+    for (const Edge& start : g.edges()) {
+      if (start.kind != single) continue;
+      const std::vector<std::ptrdiff_t> parent = bfs(start.to, start.from, others);
+      if (parent[start.from] == -1) continue;
+      std::vector<TxnId> cycle;
+      for (std::size_t node = start.from; node != start.to;
+           node = static_cast<std::size_t>(parent[node])) {
+        cycle.push_back(g.id_of(node));
+      }
+      cycle.push_back(g.id_of(start.to));
+      std::reverse(cycle.begin(), cycle.end());
+      std::rotate(cycle.begin(),
+                  std::find(cycle.begin(), cycle.end(), g.id_of(start.from)),
+                  cycle.end());
+      return cycle;
+    }
+    return {};
+  }
+};
+
+/// A random committed history: each transaction writes up to two keys and
+/// reads up to one to three versions, by seed (⊥ or any installer, in any
+/// real-time order),
+/// with a random install order per key and overlapping start/commit points,
+/// so the DSG and SSG carry ww, wr, rw and sd edges in every pattern.
+History random_history(std::uint64_t seed, std::size_t n, std::size_t keys) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<std::uint64_t>> writes(n + 1), writers(keys);
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    for (std::uint64_t w = rng() % 3; w > 0; --w) {
+      const std::uint64_t k = rng() % keys;
+      if (std::find(writes[i].begin(), writes[i].end(), k) != writes[i].end()) continue;
+      writes[i].push_back(k);
+      writers[k].push_back(i);
+    }
+  }
+  HistoryBuilder b;
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    const auto start = static_cast<Timestamp>(rng() % (4 * n));
+    b.begin(TxnId{i}, start);
+    for (std::uint64_t r = rng() % (2 + seed % 3); r > 0; --r) {
+      const std::uint64_t k = rng() % keys;
+      const std::size_t pick = rng() % (writers[k].size() + 1);
+      const std::uint64_t w = pick == 0 ? 0 : writers[k][pick - 1];
+      if (w != i) b.read(i, k, w);
+    }
+    for (std::uint64_t k : writes[i]) b.write(i, k);
+    b.commit(TxnId{i}, start + 1 + static_cast<Timestamp>(rng() % n));
+  }
+  for (std::uint64_t k = 0; k < keys; ++k) {
+    if (writers[k].empty()) continue;
+    std::shuffle(writers[k].begin(), writers[k].end(), rng);
+    std::vector<TxnId> order;
+    for (std::uint64_t w : writers[k]) order.push_back(TxnId{w});
+    b.order(Key{k}, std::move(order));
+  }
+  return b.build();
+}
+
+TEST(Dsg, ComponentPrefilterMatchesPerEdgeSearch) {
+  // G2, G-Single and G-SIb masks: the boolean test and the witness cycle
+  // (first closing edge, BFS path) must equal the per-edge search exactly.
+  struct Shape {
+    const char* name;
+    std::uint8_t others;
+    bool ssg;
+  };
+  const Shape shapes[] = {{"G2", kAllDsg, false},
+                          {"G-Single", kDependency, false},
+                          {"G-SIb", kDependency | kSD, true}};
+  std::map<std::string, std::pair<int, int>> seen;  // (with cycle, without)
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const History h = random_history(seed, 3 + seed % 22, 2 + seed % 5);
+    Dsg dsg(h);
+    Dsg ssg(h);
+    ASSERT_TRUE(ssg.add_start_edges(h));
+    for (const Shape& sh : shapes) {
+      const Dsg& g = sh.ssg ? ssg : dsg;
+      const PerEdgeSearch oracle(g);
+      const std::vector<TxnId> want = oracle.find(kRW, sh.others);
+      ASSERT_EQ(g.find_cycle_with_exactly_one(kRW, sh.others), want)
+          << sh.name << " seed " << seed;
+      ASSERT_EQ(g.cycle_with_exactly_one(kRW, sh.others), !want.empty())
+          << sh.name << " seed " << seed;
+      (want.empty() ? seen[sh.name].second : seen[sh.name].first)++;
+    }
+  }
+  for (const Shape& sh : shapes) {
+    EXPECT_GT(seen[sh.name].first, 20) << sh.name << " " << seen[sh.name].second;
+    EXPECT_GT(seen[sh.name].second, 20) << sh.name << " " << seen[sh.name].first;
+  }
+}
+
+// --- Version-order input contract ---------------------------------------------
+
+TEST(History, RejectsWriterRepeatedInVersionOrder) {
+  // A writer installs one version per key; a repeat used to read as a G1c
+  // cycle T1 -> T2 -> T1. Both the History and compiled paths reject it
+  // with the same message.
+  const std::string want = repeated_installer_message(kX, TxnId{1});
+  try {
+    HistoryBuilder()
+        .begin(1).write(1, 0).commit(1)
+        .begin(2).write(2, 0).commit(2)
+        .order(kX, {TxnId{1}, TxnId{2}, TxnId{1}})
+        .build();
+    FAIL() << "repeat accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+
+  const model::TransactionSet obs{{model::TxnBuilder(1).write(0).build(),
+                                   model::TxnBuilder(2).write(0).build()}};
+  const std::unordered_map<Key, std::vector<TxnId>> vo{
+      {kX, {TxnId{1}, TxnId{2}, TxnId{1}}}};
+  const model::CompiledHistory ch(obs);
+  for (auto path : {+[](const model::TransactionSet& t, const model::CompiledHistory& c,
+                        const std::unordered_map<Key, std::vector<TxnId>>& v) {
+                      (void)t;
+                      compile_install_orders(c, &v);
+                    },
+                    +[](const model::TransactionSet& t, const model::CompiledHistory& c,
+                        const std::unordered_map<Key, std::vector<TxnId>>& v) {
+                      (void)c;
+                      from_observations(t, v);
+                    }}) {
+    try {
+      path(obs, ch, vo);
+      FAIL() << "repeat accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), want);
+    }
+  }
 }
 
 TEST(Observations, RoundTripCommittedReadsWrites) {

@@ -17,7 +17,9 @@
 //     strict-weak-order fix).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "checker/checker.hpp"
@@ -276,6 +278,55 @@ TEST(SoaLayout, ViewAlignsWithSourceOperations) {
       }
     }
   }
+}
+
+TEST(SoaLayout, WritesKeyIsExactOnEveryCompileShape) {
+  // writes_key(d, k) is a binary search of d's sorted write footprint; it
+  // must equal Transaction::writes on the source observations for every
+  // (d, k) — in a borrowed compile, in a history grown block by block (keys
+  // interned after d's block included), and after retire() has reclaimed
+  // the prefix's payloads. Expectations read the source vector, because a
+  // retired transaction's payload is a stub.
+  wl::ObservationFuzzOptions fo;
+  fo.transactions = 80;
+  fo.keys = 40;
+  fo.max_writes = 3;
+  std::size_t late_keys_checked = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const wl::FuzzedObservations f = wl::fuzz_observations(seed, fo);
+    const std::vector<model::Transaction> src(f.txns.begin(), f.txns.end());
+    auto expect_exact = [&](const model::CompiledHistory& ch, const char* what) {
+      for (model::TxnIdx d = 0; d < ch.size(); ++d) {
+        for (model::KeyIdx k = 0; k < ch.key_count(); ++k) {
+          ASSERT_EQ(ch.writes_key(d, k), src[d].writes(ch.keys().key_of(k)))
+              << what << " seed " << seed << " txn " << d << " key " << k;
+          const std::uint32_t slot = ch.write_slot(d, k);
+          if (slot != model::CompiledHistory::kNoSlot) {
+            ASSERT_LT(slot, ch.write_slot_count());
+          }
+        }
+      }
+    };
+    expect_exact(model::CompiledHistory(f.txns), "borrowed");
+
+    model::CompiledHistory grown;
+    std::vector<std::size_t> keys_at_compile;  // key_count when d was compiled
+    for (std::size_t at = 0, step = 1; at < src.size(); at += step, step = step % 7 + 1) {
+      const std::size_t len = std::min(step, src.size() - at);
+      grown.extend(std::span<const model::Transaction>(src.data() + at, len));
+      keys_at_compile.resize(grown.size(), grown.key_count());
+      expect_exact(grown, "grown");
+      if (grown.size() >= 40 && grown.retired() == 0) {
+        grown.retire(30);
+        expect_exact(grown, "retired");
+      }
+    }
+    ASSERT_EQ(grown.retired(), 30u);
+    for (model::TxnIdx d = 0; d < grown.size(); ++d) {
+      late_keys_checked += grown.key_count() - keys_at_compile[d];
+    }
+  }
+  EXPECT_GT(late_keys_checked, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledDifferential,

@@ -11,8 +11,16 @@
 // the hierarchy.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "adya/graph.hpp"
 #include "adya/phenomena.hpp"
 #include "checker/checker.hpp"
+#include "model/compiled.hpp"
 #include "store/runner.hpp"
 #include "workload/workload.hpp"
 
@@ -209,6 +217,163 @@ TEST(StoreSeparation, WoundWaitNeverExhibitsG2) {
     const adya::Phenomena p = adya::detect(r.history);
     return p.g1() || p.g2;
   }));
+}
+
+// --- Hot keys: compiled install orders vs the History path --------------------
+
+using VersionOrder = std::unordered_map<Key, std::vector<TxnId>>;
+
+/// A serial history over `keys` hot keys, thousands of writers each: every
+/// transaction reads one or two keys at their latest writer and writes one
+/// or two keys. `plant` may then rewrite one or two transactions (a stale
+/// read, a future read, a fractured read, a write skew). The version order
+/// lists each key's writers in apply order.
+struct HotKeys {
+  model::TransactionSet txns;
+  VersionOrder vo;
+};
+
+enum class Plant { kNone, kStaleRead, kFutureRead, kFracturedRead, kWriteSkew };
+
+HotKeys hot_key_history(std::size_t n, std::size_t keys, Plant plant) {
+  std::mt19937_64 rng(n * 31 + keys);
+  std::vector<std::vector<TxnId>> writers(keys);
+  std::vector<model::Transaction> out;
+  const std::uint64_t victim = n / 2;
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    model::TxnBuilder b(i);
+    const std::uint64_t k1 = rng() % keys;
+    const std::uint64_t k2 = (k1 + 1 + rng() % (keys - 1)) % keys;
+    auto latest = [&](std::uint64_t k) {
+      return writers[k].empty() ? kInitTxn : writers[k].back();
+    };
+    auto back = [&](std::uint64_t k, std::size_t by) {
+      return writers[k].size() <= by ? kInitTxn : writers[k][writers[k].size() - 1 - by];
+    };
+    std::vector<std::uint64_t> w{k1};
+    if (i == victim && plant == Plant::kStaleRead) {
+      b.read(Key{k1}, back(k1, 3));  // lost update: G-Single
+    } else if (i == victim && plant == Plant::kFutureRead) {
+      b.read(Key{k2}, TxnId{i + 40});  // read from the future: G1c
+    } else if (i == victim && plant == Plant::kFracturedRead) {
+      // T_p wrote both keys; read k1 at T_p and k2 one version before it.
+      b.read(Key{0}, writers[0].back()).read(Key{1}, back(1, 1));
+      w = {2};
+    } else if (i == victim && plant == Plant::kWriteSkew) {
+      b.read(Key{0}, latest(0)).read(Key{1}, latest(1));
+      w = {0};
+    } else if (i == victim + 1 && plant == Plant::kWriteSkew) {
+      b.read(Key{0}, out.back().ops()[0].value.writer).read(Key{1}, latest(1));
+      w = {1};
+    } else {
+      b.read(Key{k1}, latest(k1));
+      if (rng() % 2 == 0) b.read(Key{k2}, latest(k2));
+      if (rng() % 2 == 0) w.push_back(k2);
+    }
+    // The fractured-read setup: the transaction before the victim writes
+    // keys 0 and 1, and the one before that writes key 1.
+    if (plant == Plant::kFracturedRead && (i == victim - 1 || i == victim - 2)) {
+      w = i == victim - 1 ? std::vector<std::uint64_t>{0, 1}
+                          : std::vector<std::uint64_t>{1};
+    }
+    for (std::uint64_t k : w) {
+      b.write(Key{k});
+      writers[k].push_back(TxnId{i});
+    }
+    out.push_back(b.build());
+  }
+  HotKeys h{model::TransactionSet(std::move(out)), {}};
+  for (std::uint64_t k = 0; k < keys; ++k) h.vo[Key{k}] = writers[k];
+  return h;
+}
+
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+TEST(HotKeyInstallOrders, MatchTheHistoryPath) {
+  // Ranked install orders must reproduce the History path exactly: every
+  // phenomenon, every untimed level's verdict, and the graph engine's
+  // explanation (which renders the History path's cycle).
+  const IsolationLevel levels[] = {IsolationLevel::kReadUncommitted,
+                                   IsolationLevel::kReadCommitted,
+                                   IsolationLevel::kReadAtomic, IsolationLevel::kPSI,
+                                   IsolationLevel::kSerializable};
+  const std::pair<Plant, const char*> plants[] = {
+      {Plant::kNone, "none"},
+      {Plant::kStaleRead, "G2,G-Single"},
+      {Plant::kFutureRead, "G1c,G2,G-Single"},
+      {Plant::kFracturedRead, "G2,G-Single,fractured"},
+      {Plant::kWriteSkew, "G2"}};
+  for (const auto& [plant, phenomena] : plants) {
+    const HotKeys hk = hot_key_history(3000, 3, plant);
+    const model::CompiledHistory ch(hk.txns);
+    ASSERT_GT(ch.writers_of(0).size(), 1000u);
+    const adya::InstallOrders io = adya::compile_install_orders(ch, &hk.vo);
+    const adya::History h = adya::from_observations(hk.txns, hk.vo);
+    const adya::Phenomena compiled = adya::detect(ch, io);
+    const adya::Phenomena history = adya::detect(h);
+    ASSERT_EQ(history.to_string(), phenomena);
+    ASSERT_EQ(compiled.to_string(), phenomena);
+    CheckOptions opts;
+    opts.version_order = &hk.vo;
+    for (IsolationLevel l : levels) {
+      const adya::Verdict v = adya::satisfies(history, l);
+      ASSERT_EQ(adya::satisfies(compiled, l), v) << ct::name_of(l);
+      ASSERT_EQ(adya::satisfies(adya::detect(ch, io, l), l), v) << ct::name_of(l);
+      const CheckResult r = checker::check_graph(l, ch, opts);
+      if (v == adya::Verdict::kViolated) {
+        EXPECT_TRUE(r.unsatisfiable()) << ct::name_of(l);
+        EXPECT_EQ(r.detail, "under the system's install order: " +
+                                adya::explain_violation(h, l))
+            << ct::name_of(l);
+      } else {
+        EXPECT_TRUE(r.satisfiable()) << ct::name_of(l) << ": " << r.detail;
+      }
+    }
+  }
+}
+
+TEST(HotKeyInstallOrders, ErrorsMatchTheHistoryPath) {
+  const HotKeys hk = hot_key_history(3000, 3, Plant::kNone);
+  const model::CompiledHistory ch(hk.txns);
+  const TxnId not_a_writer_of_0 = hk.vo.at(Key{1}).front() == hk.vo.at(Key{0}).front()
+                                      ? hk.vo.at(Key{2}).front()
+                                      : hk.vo.at(Key{1}).front();
+  auto expect_same = [&](VersionOrder vo, const std::string& want) {
+    const std::string compiled =
+        error_of([&] { adya::compile_install_orders(ch, &vo); });
+    const std::string history = error_of([&] { adya::from_observations(hk.txns, vo); });
+    EXPECT_EQ(compiled, want);
+    EXPECT_EQ(history, want);
+  };
+  {
+    VersionOrder vo = hk.vo;
+    vo[Key{0}].erase(vo[Key{0}].begin() + 700);
+    expect_same(vo, "version order misses a committed writer of k0");
+  }
+  {
+    VersionOrder vo = hk.vo;
+    vo[Key{0}].insert(vo[Key{0}].begin() + 700, TxnId{999999});
+    expect_same(vo, "version order names unknown transaction");
+  }
+  {
+    VersionOrder vo = hk.vo;
+    ASSERT_FALSE(hk.txns.by_id(not_a_writer_of_0).writes(Key{0}));
+    vo[Key{0}].insert(vo[Key{0}].begin() + 700, not_a_writer_of_0);
+    expect_same(vo,
+                "version order must contain exactly the committed writers of the key");
+  }
+  {
+    VersionOrder vo = hk.vo;
+    vo[Key{0}].push_back(vo[Key{0}][700]);
+    expect_same(vo, adya::repeated_installer_message(Key{0}, hk.vo.at(Key{0})[700]));
+  }
 }
 
 }  // namespace

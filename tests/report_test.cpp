@@ -200,6 +200,29 @@ TEST(InputContract, RejectsStartAfterCommit) {
   expect_accepted("txn 1 start=5\n  write 1\nend\ntxn 2 commit=2\n  write 1\nend\n");
 }
 
+TEST(InputContract, RejectsWriterRepeatedInVersionOrder) {
+  // A repeat used to be read as a cycle: `vo 5 1 2 1` made two plain writes
+  // an UNSATISFIABLE G1c T1 -> T2 -> T1. Offline only: `--follow` rejects
+  // every `vo` line, so this is not a Rejected-input table row.
+  const std::string writes = "txn 1\n  write 5\nend\ntxn 2\n  write 5\nend\n";
+  auto rejected = [&](const std::string& vo_lines, const std::string& want) {
+    try {
+      parse_observations(writes + vo_lines);
+      ADD_FAILURE() << vo_lines << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), want) << vo_lines;
+    }
+  };
+  rejected("vo 5 1 2 1\n", "line 7: vo lists T1 twice for k5");
+  rejected("vo 5 2 2\n", "line 7: vo lists T2 twice for k5");
+  // A repeat across two lines for the same key names the second line.
+  rejected("vo 5 1\nvo 5 2\n\nvo 5 1\n", "line 10: vo lists T1 twice for k5");
+  rejected("vo 5\nvo 5 1 1\n", "line 8: vo lists T1 twice for k5");
+  // Continuation lines and the same id on other keys are fine.
+  const Observations ok = parse_observations(writes + "vo 5 1\nvo 5 2\nvo 6 1 2\n");
+  EXPECT_EQ(ok.version_order.at(Key{5}), (std::vector<TxnId>{TxnId{1}, TxnId{2}}));
+}
+
 TEST(InputContract, RejectedInputTableMatchesParser) {
   // Every row of the "Rejected input" table in the format doc: the input
   // line (closed with `end`) must be rejected with exactly the listed error.
