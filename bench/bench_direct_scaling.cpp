@@ -23,10 +23,13 @@
 // the pass is still linear. A ser_graph row (10^3..10^5) times the offline
 // version-order path at Serializable, which the direct tier does not serve:
 // ranked install orders, G1c/G2 over strongly connected components, and a
-// verified topological witness. ns_per_txn is computed from the best
-// (minimum) per-iteration wall time, the stable signal on a shared host; CI
-// gates direct RC/RA and ser_graph flatness (ns_per_txn at 10^5 within 2x of
-// 10^3) on it.
+// verified topological witness. The sser_graph row adds StrictSerializable's
+// real-time order, which the graph carries as a linear time chain, not as
+// its Θ(n²) pairs; ser_graph_violated plants one stale read (a lost update)
+// so the Serializable check refutes and renders the explanation cycle.
+// ns_per_txn is computed from the best (minimum) per-iteration wall time,
+// the stable signal on a shared host; CI gates direct RC/RA and the three
+// graph rows' flatness (ns_per_txn at 10^5 within 2x of 10^3) on it.
 //
 // Verdict parity is asserted at startup: on each benched history size both
 // engines must return SAT with a witness that passes the canonical commit
@@ -79,22 +82,33 @@ std::uint64_t mix(std::uint64_t& s) {
 /// key and reads one key from the latest committed writer (or the initial
 /// state), with commit timestamps in id order. The commit-sorted execution
 /// satisfies every level, so both engines return SAT and pay their full
-/// per-transaction cost.
-model::TransactionSet build_clean_history(std::size_t n) {
+/// per-transaction cost. With `stale`, the first transaction past the
+/// middle whose write key already has a writer reads that key one version
+/// behind instead: a lost update (G-Single, hence G2), so Serializable is
+/// refuted and explained.
+model::TransactionSet build_clean_history(std::size_t n, bool stale = false) {
   std::vector<model::Transaction> txns;
   txns.reserve(n);
-  std::vector<TxnId> last_writer(kKeys, kInitTxn);
+  std::vector<TxnId> last_writer(kKeys, kInitTxn), prev_writer(kKeys, kInitTxn);
   std::uint64_t s = 0x5eed0000 + n;
+  bool planted = !stale;
   for (std::uint64_t i = 1; i <= n; ++i) {
     const std::size_t wk = mix(s) % kKeys;
-    const std::size_t rk = mix(s) % kKeys;
+    std::size_t rk = mix(s) % kKeys;
+    TxnId observed = last_writer[rk];
+    if (!planted && i > n / 2 && last_writer[wk] != kInitTxn) {
+      rk = wk;
+      observed = prev_writer[wk];
+      planted = true;
+    }
     txns.push_back(model::TxnBuilder(i)
-                       .read(Key{rk}, last_writer[rk])
+                       .read(Key{rk}, observed)
                        .write(Key{wk})
                        .session(SessionId{static_cast<std::uint32_t>(i % kSessions)})
                        .at(static_cast<Timestamp>(2 * i),
                            static_cast<Timestamp>(2 * i + 1))
                        .build());
+    prev_writer[wk] = last_writer[wk];
     last_writer[wk] = TxnId{i};
   }
   return model::TransactionSet(std::move(txns));
@@ -106,7 +120,8 @@ struct Fixture {
   // Authoritative install order, as a store audit would supply: per key,
   // writers in commit-timestamp order.
   std::unordered_map<Key, std::vector<TxnId>> version_order;
-  explicit Fixture(std::size_t n) : txns(build_clean_history(n)), ch(txns) {
+  explicit Fixture(std::size_t n, bool stale = false)
+      : txns(build_clean_history(n, stale)), ch(txns) {
     for (std::size_t i = 0; i < txns.size(); ++i) {
       for (const model::Operation& op : txns.at(i).ops()) {
         if (op.is_write()) version_order[op.key].push_back(txns.at(i).id());
@@ -117,11 +132,11 @@ struct Fixture {
 
 /// Histories are built once per size and shared across all rows — at 10^6
 /// transactions the build itself is seconds of work that must not recur.
-const Fixture& fixture(std::size_t n) {
-  static std::map<std::size_t, std::unique_ptr<Fixture>> cache;
-  auto it = cache.find(n);
+const Fixture& fixture(std::size_t n, bool stale = false) {
+  static std::map<std::pair<std::size_t, bool>, std::unique_ptr<Fixture>> cache;
+  auto it = cache.find({n, stale});
   if (it == cache.end()) {
-    it = cache.emplace(n, std::make_unique<Fixture>(n)).first;
+    it = cache.emplace(std::pair{n, stale}, std::make_unique<Fixture>(n, stale)).first;
   }
   return *it->second;
 }
@@ -163,6 +178,25 @@ void assert_parity() {
             checker::verify_witness(level, f.ch, *r.witness);
         if (!v.ok) parity_failure(v.explanation.c_str(), level, n, r);
       }
+    }
+  }
+  // The graph-only rows: StrictSerializable SAT with a verifying witness,
+  // and the planted lost update refuted at Serializable with its G2 cycle.
+  for (std::size_t n : sizes) {
+    const Fixture& f = fixture(n);
+    const auto r = run_engine(L::kStrictSerializable, f.ch,
+                              checker::EngineSelect::kGraph, &f.version_order);
+    if (!r.satisfiable() || !r.witness.has_value()) {
+      parity_failure("expected SAT", L::kStrictSerializable, n, r);
+    }
+    const ct::ExecutionVerdict v =
+        checker::verify_witness(L::kStrictSerializable, f.ch, *r.witness);
+    if (!v.ok) parity_failure(v.explanation.c_str(), L::kStrictSerializable, n, r);
+    const Fixture& bad = fixture(n, /*stale=*/true);
+    const auto refuted = run_engine(L::kSerializable, bad.ch,
+                                    checker::EngineSelect::kGraph, &bad.version_order);
+    if (!refuted.unsatisfiable() || refuted.detail.find("G2") == std::string::npos) {
+      parity_failure("expected a G2 refutation", L::kSerializable, n, refuted);
     }
   }
   // Adversarial small histories: dangling observations and phantoms, where
@@ -284,6 +318,28 @@ void BM_Engine(benchmark::State& state, L level, checker::EngineSelect engine) {
   state.counters["ns_per_txn"] = best * 1e9 / static_cast<double>(n);
 }
 
+/// The refutation row: the planted lost update, checked at `level` by the
+/// graph engine, must be UNSAT with a rendered cycle on every iteration.
+void BM_Violated(benchmark::State& state, L level) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Fixture& f = fixture(n, /*stale=*/true);
+  double best = 1e100;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = run_engine(level, f.ch, checker::EngineSelect::kGraph,
+                              &f.version_order);
+    benchmark::DoNotOptimize(r.outcome);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    best = std::min(best, secs);
+    if (!r.unsatisfiable()) parity_failure("refutation lost mid-bench", level, n, r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+  state.counters["txns"] = static_cast<double>(n);
+  state.counters["ns_per_txn"] = best * 1e9 / static_cast<double>(n);
+}
+
 #define DIRECT_ROW(tag, level)                                        \
   BENCHMARK_CAPTURE(BM_Engine, tag##_direct, level,                   \
                     checker::EngineSelect::kDirect)
@@ -301,8 +357,12 @@ GRAPH_ROW(ra, L::kReadAtomic)->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000)-
 // saturation gate declines past 16384 txns, so the curve stops at 10^4.
 DIRECT_ROW(psi, L::kPSI)->Arg(1000)->Arg(10000)->UseRealTime();
 GRAPH_ROW(psi, L::kPSI)->Arg(1000)->Arg(10000)->UseRealTime();
-// SER: graph engine only (the direct tier serves RC/RA/PSI).
+// SER / SSER: graph engine only (the direct tier serves RC/RA/PSI).
 GRAPH_ROW(ser, L::kSerializable)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
+GRAPH_ROW(sser, L::kStrictSerializable)->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
+BENCHMARK_CAPTURE(BM_Violated, ser_graph_violated, L::kSerializable)
+    ->Name("BM_Engine/ser_graph_violated")
+    ->Arg(1000)->Arg(10000)->Arg(100000)->UseRealTime();
 
 #undef DIRECT_ROW
 #undef GRAPH_ROW

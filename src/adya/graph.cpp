@@ -1,129 +1,24 @@
 #include "adya/graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 namespace crooks::adya {
 
-namespace {
-
-/// Position of `writer` in the (implicitly ⊥-headed) version order of a key:
-/// -1 for the initial version, index otherwise, nullopt if absent.
-std::optional<std::ptrdiff_t> version_pos(const std::vector<TxnId>& installers,
-                                          TxnId writer) {
-  if (writer == kInitTxn) return -1;
-  auto it = std::find(installers.begin(), installers.end(), writer);
-  if (it == installers.end()) return std::nullopt;
-  return it - installers.begin();
+Dsg::Dsg(std::vector<TxnId> ids, std::vector<Edge> edges)
+    : ids_(std::move(ids)), nodes_(ids_.size()), edges_(std::move(edges)) {
+  index_edges();
 }
-
-/// Node of every committed transaction of `h`, in History order.
-std::unordered_map<TxnId, std::size_t> nodes_of(const History& h) {
-  std::unordered_map<TxnId, std::size_t> node;
-  for (const HistTxn& t : h.txns()) {
-    if (t.committed) node.emplace(t.id, node.size());
-  }
-  return node;
-}
-
-}  // namespace
 
 void Dsg::index_edges() {
-  out_begin_.assign(size() + 1, 0);
+  out_begin_.assign(nodes_ + 1, 0);
   for (const Edge& e : edges_) ++out_begin_[e.from + 1];
-  for (std::size_t u = 0; u < size(); ++u) out_begin_[u + 1] += out_begin_[u];
+  for (std::size_t u = 0; u < nodes_; ++u) out_begin_[u + 1] += out_begin_[u];
   out_.resize(edges_.size());
   std::vector<std::size_t> fill(out_begin_.begin(), out_begin_.end() - 1);
   for (const Edge& e : edges_) {
     out_[fill[e.from]++] = Arc{static_cast<std::uint32_t>(e.to), e.kind};
   }
-}
-
-Dsg::Dsg(const History& h) {
-  const std::unordered_map<TxnId, std::size_t> node = nodes_of(h);
-  for (const HistTxn& t : h.txns()) {
-    if (t.committed) ids_.push_back(t.id);
-  }
-
-  // Write-dependencies: consecutive installed versions (Definition A.2).
-  for (const auto& [key, installers] : h.version_order()) {
-    for (std::size_t i = 0; i + 1 < installers.size(); ++i) {
-      add_edge(node.at(installers[i]), node.at(installers[i + 1]), kWW, key);
-    }
-  }
-
-  // Read- and anti-dependencies.
-  for (const HistTxn& t : h.txns()) {
-    if (!t.committed) continue;
-    const std::size_t reader = node.at(t.id);
-    for (const Event& e : t.events) {
-      if (e.type != EventType::kRead) continue;
-      const TxnId w = e.version.writer;
-      if (w == t.id) continue;  // internal read: no inter-transaction conflict
-      // Only reads of *installed* versions create DSG edges; dirty and
-      // intermediate reads are the G1a/G1b phenomena, detected separately.
-      const std::vector<TxnId>& installers = h.installers(e.key);
-      if (w != kInitTxn) {
-        if (!h.contains(w) || !h.by_id(w).committed) continue;         // G1a
-        if (h.by_id(w).final_write_seq(e.key) != e.version.seq) continue;  // G1b
-        const auto pos = version_pos(installers, w);
-        if (!pos.has_value()) continue;
-        add_edge(node.at(w), reader, kWR, e.key);
-        // Anti-dependency to the installer of the *next* version, if any.
-        const std::size_t next = static_cast<std::size_t>(*pos) + 1;
-        if (next < installers.size()) {
-          add_edge(reader, node.at(installers[next]), kRW, e.key);
-        }
-      } else {
-        // Read of ⊥: anti-depends on the first installer of the key.
-        if (!installers.empty()) {
-          add_edge(reader, node.at(installers.front()), kRW, e.key);
-        }
-      }
-    }
-  }
-  index_edges();
-}
-
-bool Dsg::add_start_edges(const History& h) {
-  for (const HistTxn& t : h.txns()) {
-    if (t.committed && (t.start_ts == kNoTimestamp || t.commit_ts == kNoTimestamp)) {
-      return false;
-    }
-  }
-  const std::unordered_map<TxnId, std::size_t> node = nodes_of(h);
-  for (const HistTxn& a : h.txns()) {
-    if (!a.committed) continue;
-    for (const HistTxn& b : h.txns()) {
-      if (!b.committed || a.id == b.id) continue;
-      if (a.commit_ts < b.start_ts) {
-        edges_.push_back({node.at(a.id), node.at(b.id), kSD, Key{}});
-      }
-    }
-  }
-  index_edges();
-  return true;
-}
-
-bool Dsg::add_realtime_edges(const History& h) {
-  for (const HistTxn& t : h.txns()) {
-    if (t.committed && (t.start_ts == kNoTimestamp || t.commit_ts == kNoTimestamp)) {
-      return false;
-    }
-  }
-  const std::unordered_map<TxnId, std::size_t> node = nodes_of(h);
-  for (const HistTxn& a : h.txns()) {
-    if (!a.committed) continue;
-    for (const HistTxn& b : h.txns()) {
-      if (!b.committed || a.id == b.id) continue;
-      if (a.commit_ts < b.start_ts) {
-        edges_.push_back({node.at(a.id), node.at(b.id), kRT, Key{}});
-      }
-    }
-  }
-  index_edges();
-  return true;
 }
 
 bool Dsg::has_cycle(std::uint8_t mask) const {
@@ -134,11 +29,11 @@ std::vector<TxnId> Dsg::find_cycle(std::uint8_t mask) const {
   // Iterative three-color DFS; on finding a back edge, unwind the explicit
   // stack to recover the cycle's nodes.
   enum : std::uint8_t { kWhite, kGray, kBlack };
-  std::vector<std::uint8_t> color(size(), kWhite);
+  std::vector<std::uint8_t> color(nodes_, kWhite);
   std::vector<std::size_t> stack;          // DFS path (nodes)
-  std::vector<std::size_t> edge_iter(size(), 0);
+  std::vector<std::size_t> edge_iter(nodes_, 0);
 
-  for (std::size_t root = 0; root < size(); ++root) {
+  for (std::size_t root = 0; root < nodes_; ++root) {
     if (color[root] != kWhite) continue;
     stack.push_back(root);
     color[root] = kGray;
@@ -151,10 +46,8 @@ std::vector<TxnId> Dsg::find_cycle(std::uint8_t mask) const {
         if (!(e.kind & mask)) continue;
         if (color[e.to] == kGray) {
           // Cycle: from e.to up the stack to u.
-          std::vector<TxnId> cycle;
-          auto it = std::find(stack.begin(), stack.end(), e.to);
-          for (; it != stack.end(); ++it) cycle.push_back(ids_[*it]);
-          return cycle;
+          const auto it = std::find(stack.begin(), stack.end(), e.to);
+          return transactions_of(std::vector<std::size_t>(it, stack.end()));
         }
         if (color[e.to] == kWhite) {
           color[e.to] = kGray;
@@ -176,7 +69,7 @@ std::vector<std::uint32_t> Dsg::components(std::uint8_t mask) const {
   // Iterative Tarjan: a serial history's dependency chains are as deep as the
   // history, far past what recursion could take.
   constexpr std::uint32_t kNone = ~std::uint32_t{0};
-  const std::size_t n = size();
+  const std::size_t n = nodes_;
   std::vector<std::uint32_t> index(n, kNone), low(n, 0), comp(n, kNone);
   std::vector<std::size_t> stack;                          // Tarjan's node stack
   std::vector<std::pair<std::size_t, std::size_t>> frames;  // (node, next out-edge)
@@ -257,7 +150,7 @@ bool Dsg::cycle_with_exactly_one(EdgeKind single, std::uint8_t others) const {
 std::vector<TxnId> Dsg::find_cycle_with_exactly_one(EdgeKind single,
                                                     std::uint8_t others) const {
   const std::vector<std::uint32_t> comp = components(others | single);
-  std::vector<std::ptrdiff_t> parent(size(), -1);
+  std::vector<std::ptrdiff_t> parent(nodes_, -1);
   std::vector<std::size_t> visited;
   for (const Edge& start : edges_) {
     if (start.kind != single || comp[start.from] != comp[start.to]) continue;
@@ -266,20 +159,31 @@ std::vector<TxnId> Dsg::find_cycle_with_exactly_one(EdgeKind single,
       for (std::size_t v : visited) parent[v] = -1;
       continue;
     }
-    std::vector<TxnId> cycle;
+    std::vector<std::size_t> path;
     std::size_t node = start.from;
     while (node != start.to) {
-      cycle.push_back(ids_[node]);
+      path.push_back(node);
       node = static_cast<std::size_t>(parent[node]);
     }
-    cycle.push_back(ids_[start.to]);
-    std::reverse(cycle.begin(), cycle.end());
+    path.push_back(start.to);
+    std::reverse(path.begin(), path.end());
     // Rotate so the anti-dependency edge's source leads.
-    std::rotate(cycle.begin(),
-                std::find(cycle.begin(), cycle.end(), ids_[start.from]), cycle.end());
-    return cycle;
+    std::rotate(path.begin(), std::find(path.begin(), path.end(), start.from),
+                path.end());
+    return transactions_of(path);
   }
   return {};
+}
+
+std::vector<TxnId> Dsg::transactions_of(const std::vector<std::size_t>& nodes) const {
+  // A run of time nodes between two transactions is one chain hop a ⇝ b,
+  // i.e. commit(a) < start(b): dropping the time nodes renders it as the
+  // real pair a -> b.
+  std::vector<TxnId> ids;
+  for (std::size_t v : nodes) {
+    if (!is_time_node(v)) ids.push_back(ids_[v]);
+  }
+  return ids;
 }
 
 std::string to_string(EdgeKind k) {

@@ -1,5 +1,5 @@
 // Direct Serialization Graphs (DSG) and Start-ordered Serialization Graphs
-// (SSG) — Definitions A.4 and A.6.
+// (SSG) — Definitions A.4 and A.6 — built from a compiled history.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adya/history.hpp"
 #include "common/ids.hpp"
 #include "model/compiled.hpp"
 
@@ -60,8 +59,8 @@ struct InstallOrders {
 };
 
 /// Intern and validate a client-supplied version order against a compiled
-/// history. Mirrors from_observations + History::validate: completes the
-/// order for keys with at most one committed writer, and throws
+/// history. Validates as History's constructor does: completes the order for
+/// keys with at most one committed writer, and throws
 /// std::invalid_argument with the same messages on a multi-writer key
 /// missing from the order, an order naming an unknown transaction or a
 /// non-writer, a writer listed twice, or an order missing a committed
@@ -72,44 +71,53 @@ InstallOrders compile_install_orders(
     const std::unordered_map<Key, std::vector<TxnId>>* version_order);
 
 /// The serialization graph over the committed transactions of a history.
-/// Start-dependency and real-time edges are added on demand (they are O(n²)
-/// and only needed by the SI / strict-serializability phenomena).
+///
+/// Nodes [0, size()) are the transactions (node i is dense index i). The
+/// start-dependency and real-time edges (commit(a) < start(b)) form an
+/// interval order with Θ(n²) pairs on a mostly serial history, so they are
+/// never stored pairwise: add_start_edges / add_realtime_edges append a
+/// *time chain* of O(n) auxiliary nodes, numbered from size() on, through
+/// which a reaches b exactly when commit(a) < start(b). Reachability — and
+/// so every cycle test — equals the pairwise edge set's; the time nodes
+/// carry no rw edge, so cycles that count rw edges (G-SIb) are unaffected.
+/// Time nodes are never shown to a caller: id_of is only defined on
+/// transaction nodes, and the cycle finders report a chain hop a ⇝ b as the
+/// single real pair a -> b.
 class Dsg {
  public:
-  explicit Dsg(const History& h);
-
-  /// Same graph built from the compiled form, without lifting observations
-  /// into an Adya history first: node i is dense index i, the read edges come
-  /// straight from the precomputed per-op writer resolution (the G1a / G1b
-  /// skip conditions are single flag tests), and WW edges follow the interned
-  /// install orders. The edge *set* is identical to Dsg(from_observations(...));
-  /// only the (irrelevant) edge insertion order differs — and is deterministic
-  /// here, where the History path iterates an unordered_map.
+  /// Build from the compiled form: the read edges come straight from the
+  /// precomputed per-op writer resolution (the G1a / G1b skip conditions
+  /// are single flag tests), and WW edges follow the interned install
+  /// orders. Edge insertion order is deterministic.
   Dsg(const model::CompiledHistory& ch, const InstallOrders& io);
 
+  /// A graph over explicit transaction nodes and edges (every endpoint in
+  /// [0, ids.size())): edge-set oracles and tests build graphs this way.
+  Dsg(std::vector<TxnId> ids, std::vector<Edge> edges);
+
+  /// Transaction nodes. Time nodes, if any, are [size(), node_count()).
   std::size_t size() const { return ids_.size(); }
+  std::size_t node_count() const { return nodes_; }
+  bool is_time_node(std::size_t node) const { return node >= ids_.size(); }
+  /// Defined on transaction nodes only.
   TxnId id_of(std::size_t node) const { return ids_[node]; }
 
+  /// Every edge, including the time chain's (whose endpoints may be time
+  /// nodes).
   const std::vector<Edge>& edges() const { return edges_; }
   /// The edges leaving `node`, in insertion order.
   std::span<const Arc> out_edges(std::size_t node) const {
     return {out_.data() + out_begin_[node], out_.data() + out_begin_[node + 1]};
   }
 
-  /// Add T_i --sd--> T_j edges for every pair with commit(T_i) < start(T_j).
-  /// Requires timestamps on all committed transactions; returns false (and
-  /// adds nothing) otherwise.
-  bool add_start_edges(const History& h);
-
-  /// Add T_i --rt--> T_j edges for every real-time-ordered pair (same
-  /// predicate as start-dependency; kept as a distinct kind so strict
-  /// serializability and SI phenomena do not interfere).
-  bool add_realtime_edges(const History& h);
-
-  /// Compiled counterparts: reuse the CompiledHistory's real-time adjacency
-  /// (one O(n log n) pass, shared with the exhaustive engine) instead of the
-  /// O(n²) timestamp scan. Valid only for a Dsg built from the same `ch`.
+  /// Make a reach b through kSD edges exactly when commit(a) < start(b), as
+  /// a time chain (see the class comment). Requires timestamps on every
+  /// transaction of `ch`, the history this graph was built from; returns
+  /// false (and adds nothing) otherwise. O(n log n) time, O(n) edges.
   bool add_start_edges(const model::CompiledHistory& ch);
+
+  /// Same relation as kRT edges (strict serializability's real-time order),
+  /// kept a distinct kind so SSER and the SI phenomena do not interfere.
   bool add_realtime_edges(const model::CompiledHistory& ch);
 
   /// Is there a directed cycle using only edges whose kind is in `mask`?
@@ -123,17 +131,18 @@ class Dsg {
   /// Tarjan): when `others` includes `single` the answer is whether some
   /// `single` edge has both ends in one component — linear time; otherwise
   /// only the `single` edges inside a component get a BFS, confined to it.
+  /// `single` must be a kind that joins transaction nodes (not kSD / kRT).
   bool cycle_with_exactly_one(EdgeKind single, std::uint8_t others) const;
 
-  /// Nodes of one such cycle (for diagnostics), empty if none.
+  /// Transactions of one such cycle (for diagnostics), empty if none.
   std::vector<TxnId> find_cycle(std::uint8_t mask) const;
 
-  /// Nodes of a cycle consisting of exactly one `single` edge plus edges in
-  /// `others` (the G-Single / G-SIb shape), empty if none. The returned
-  /// sequence starts at the `single` edge's source. The closing edge is the
-  /// first in edge order that has a cycle, and the path is BFS's shortest;
-  /// the component prefilter (see above) only skips edges and nodes that
-  /// cannot be on such a cycle, so neither depends on it.
+  /// Transactions of a cycle consisting of exactly one `single` edge plus
+  /// edges in `others` (the G-Single / G-SIb shape), empty if none. The
+  /// returned sequence starts at the `single` edge's source. The closing
+  /// edge is the first in edge order that has a cycle, and the path is
+  /// BFS's shortest; the component prefilter (see above) only skips edges
+  /// and nodes that cannot be on such a cycle, so neither depends on it.
   std::vector<TxnId> find_cycle_with_exactly_one(EdgeKind single,
                                                  std::uint8_t others) const;
 
@@ -142,12 +151,18 @@ class Dsg {
   std::vector<std::uint32_t> components(std::uint8_t mask) const;
 
   /// BFS from `from` towards `to` over edges in `mask`, confined to the
-  /// component comp[to]. `parent` (sized size(), all -1 on entry) receives
-  /// the BFS tree; `visited` lists the nodes it set, for the caller to reset.
+  /// component comp[to]. `parent` (sized node_count(), all -1 on entry)
+  /// receives the BFS tree; `visited` lists the nodes it set, for the
+  /// caller to reset.
   bool bfs_within(std::size_t from, std::size_t to, std::uint8_t mask,
                   const std::vector<std::uint32_t>& comp,
                   std::vector<std::ptrdiff_t>& parent,
                   std::vector<std::size_t>& visited) const;
+
+  bool add_time_chain(const model::CompiledHistory& ch, EdgeKind kind);
+
+  /// Ids of the transaction nodes among `nodes`, in order.
+  std::vector<TxnId> transactions_of(const std::vector<std::size_t>& nodes) const;
 
   void add_edge(std::size_t from, std::size_t to, EdgeKind kind, Key key) {
     if (from != to) edges_.push_back({from, to, kind, key});
@@ -157,6 +172,7 @@ class Dsg {
   void index_edges();
 
   std::vector<TxnId> ids_;
+  std::size_t nodes_ = 0;  // transaction nodes plus time nodes
   std::vector<Edge> edges_;
   // Out-edge index (CSR): out_[out_begin_[u] .. out_begin_[u+1]) are u's
   // out-edges.

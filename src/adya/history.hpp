@@ -5,7 +5,8 @@
 // observe: aborted transactions, intermediate writes, and a per-key total
 // version order. The equivalence theorems (1–4, 6, 10) become executable
 // property tests by converting a history to client observations
-// (`to_observations`) and comparing checker verdicts with phenomena verdicts.
+// (`to_observations`) and comparing checker verdicts with phenomena verdicts
+// (adya/phenomena.hpp, computed on the compiled observations).
 #pragma once
 
 #include <algorithm>
@@ -261,16 +262,9 @@ class HistoryBuilder {
 /// transactions only; writes collapse to their final value; a read of an
 /// aborted transaction's write keeps its writer id (which is then absent
 /// from the set — G1a); a read of a non-final write becomes a phantom value
-/// (G1b). This is the bridge both equivalence tests and the store use.
+/// (G1b). This is the bridge both equivalence tests and the store use; the
+/// phenomena of `h` are the compiled phenomena of this projection under
+/// `h.version_order()`.
 model::TransactionSet to_observations(const History& h);
-
-/// Lift client observations into a history, given an authoritative per-key
-/// install order. Keys absent from `version_order` must have at most one
-/// committed writer (their order is then implied); otherwise throws.
-/// Phantom reads become reads of a non-final version (G1b); reads naming an
-/// unknown writer become reads of an aborted transaction's write (G1a).
-History from_observations(
-    const model::TransactionSet& txns,
-    const std::unordered_map<Key, std::vector<TxnId>>& version_order);
 
 }  // namespace crooks::adya

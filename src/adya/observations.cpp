@@ -43,65 +43,4 @@ model::TransactionSet to_observations(const History& h) {
   return model::TransactionSet(std::move(out));
 }
 
-History from_observations(
-    const model::TransactionSet& txns,
-    const std::unordered_map<Key, std::vector<TxnId>>& version_order) {
-  std::vector<HistTxn> hts;
-  hts.reserve(txns.size() + 1);
-
-  // Transactions read from writers that may not belong to the set (aborted
-  // per G1a); add a synthetic aborted transaction per such writer so the
-  // history is self-contained.
-  std::unordered_map<TxnId, std::vector<Key>> aborted_writes;
-
-  for (const model::Transaction& t : txns) {
-    HistTxn ht;
-    ht.id = t.id();
-    ht.committed = true;
-    ht.session = t.session();
-    ht.site = t.site();
-    ht.start_ts = t.start_ts();
-    ht.commit_ts = t.commit_ts();
-    ht.level = t.level();
-    for (const model::Operation& op : t.ops()) {
-      if (op.is_write()) {
-        ht.events.push_back({EventType::kWrite, op.key, Version{t.id(), 1}});
-      } else {
-        // A phantom value is "a write that no state contains": model it as a
-        // non-final write (seq 0 < the writer's final seq 1) — exactly G1b.
-        const std::uint32_t seq = op.value.phantom ? 0 : 1;
-        ht.events.push_back({EventType::kRead, op.key, Version{op.value.writer, seq}});
-        if (op.value.writer != kInitTxn && !txns.contains(op.value.writer)) {
-          aborted_writes[op.value.writer].push_back(op.key);
-        }
-      }
-    }
-    hts.push_back(std::move(ht));
-  }
-
-  for (const auto& [id, keys] : aborted_writes) {
-    HistTxn ht;
-    ht.id = id;
-    ht.committed = false;
-    for (Key k : keys) ht.events.push_back({EventType::kWrite, k, Version{id, 1}});
-    hts.push_back(std::move(ht));
-  }
-
-  // Complete the version order for keys with at most one committed writer.
-  std::unordered_map<Key, std::vector<TxnId>> vo = version_order;
-  std::unordered_map<Key, std::vector<TxnId>> writers;
-  for (const model::Transaction& t : txns) {
-    for (Key k : t.write_set()) writers[k].push_back(t.id());
-  }
-  for (auto& [key, ws] : writers) {
-    if (vo.contains(key)) continue;
-    if (ws.size() > 1) {
-      throw std::invalid_argument("version order missing for multi-writer key " +
-                                  crooks::to_string(key));
-    }
-    vo.emplace(key, ws);
-  }
-  return History(std::move(hts), std::move(vo));
-}
-
 }  // namespace crooks::adya

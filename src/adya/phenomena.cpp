@@ -1,111 +1,172 @@
 #include "adya/phenomena.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 namespace crooks::adya {
 
 namespace {
 
-/// Position of a version's writer in the key's install order; -1 = initial.
-std::optional<std::ptrdiff_t> install_pos(const History& h, Key k, TxnId writer) {
-  if (writer == kInitTxn) return -1;
-  const auto& installers = h.installers(k);
-  auto it = std::find(installers.begin(), installers.end(), writer);
-  if (it == installers.end()) return std::nullopt;
-  return it - installers.begin();
-}
-
-bool detect_g1a(const History& h) {
-  for (const HistTxn& t : h.txns()) {
-    if (!t.committed) continue;
-    for (const Event& e : t.events) {
-      if (e.type != EventType::kRead) continue;
-      const TxnId w = e.version.writer;
-      if (w == kInitTxn || w == t.id) continue;
-      if (!h.contains(w) || !h.by_id(w).committed) return true;
-    }
-  }
-  return false;
-}
-
-bool detect_g1b(const History& h) {
-  for (const HistTxn& t : h.txns()) {
-    if (!t.committed) continue;
-    for (const Event& e : t.events) {
-      if (e.type != EventType::kRead) continue;
-      const TxnId w = e.version.writer;
-      if (w == kInitTxn || w == t.id) continue;
-      if (!h.contains(w) || !h.by_id(w).committed) continue;  // that's G1a
-      if (h.by_id(w).final_write_seq(e.key) != e.version.seq) return true;
-    }
-  }
-  return false;
-}
-
-// Fractured reads (Appendix B.1): T_j reads x_m written by T_i; T_i also
-// (finally) wrote y; T_j reads a version of y strictly older than T_i's.
-bool detect_fractured(const History& h) {
-  for (const HistTxn& t : h.txns()) {
-    if (!t.committed) continue;
-    for (const Event& r1 : t.events) {
-      if (r1.type != EventType::kRead) continue;
-      const TxnId wi = r1.version.writer;
-      if (wi == kInitTxn || wi == t.id) continue;
-      if (!h.contains(wi) || !h.by_id(wi).committed) continue;
-      const HistTxn& writer = h.by_id(wi);
-      if (writer.final_write_seq(r1.key) != r1.version.seq) continue;
-      for (const Event& r2 : t.events) {
-        if (r2.type != EventType::kRead || r2.version.writer == t.id) continue;
-        if (!writer.writes(r2.key)) continue;
-        const auto read_pos = install_pos(h, r2.key, r2.version.writer);
-        const auto wi_pos = install_pos(h, r2.key, wi);
-        if (!read_pos.has_value() || !wi_pos.has_value()) continue;
-        if (*read_pos < *wi_pos) return true;
+// Fractured reads (Appendix B.1): T reads x written (finally) by T_i; T_i
+// also finally wrote y; T reads a version of y strictly older than T_i's.
+bool detect_fractured(const model::CompiledHistory& ch, const InstallOrders& io) {
+  for (model::TxnIdx d = 0; d < ch.size(); ++d) {
+    const model::OpsView ops = ch.ops(d);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const std::uint8_t m1 = ops.flags(i);
+      if ((m1 & (model::kOpWrite | model::kOpInitWriter | model::kOpSelfWriter |
+                 model::kOpUnknownWriter)) != 0) {
+        continue;
+      }
+      if ((m1 & (model::kOpPhantom | model::kOpWriterMissesKey)) != 0) {
+        continue;  // r1 must observe the writer's final version
+      }
+      const model::TxnIdx wi = ops.writer(i);
+      for (std::size_t j = 0; j < ops.size(); ++j) {
+        const std::uint8_t m2 = ops.flags(j);
+        if ((m2 & (model::kOpWrite | model::kOpSelfWriter)) != 0) continue;
+        const std::ptrdiff_t wi_pos = io.rank_of(ch, wi, ops.key(j));
+        if (wi_pos < 0) continue;  // T_i does not write y
+        // Install position of r2's observed writer: -1 for ⊥, skip if absent.
+        std::ptrdiff_t read_pos = -1;
+        if ((m2 & model::kOpInitWriter) == 0) {
+          if ((m2 & model::kOpUnknownWriter) != 0) continue;
+          read_pos = io.rank_of(ch, ops.writer(j), ops.key(j));
+          if (read_pos < 0) continue;
+        }
+        if (read_pos < wi_pos) return true;
       }
     }
   }
   return false;
+}
+
+/// Which phenomena a level's verdict actually consults (the clauses of
+/// satisfies(p, level)). Everything defaults off; detect_scoped() skips the
+/// machinery behind anything not requested.
+struct Needs {
+  bool g0 = false;
+  bool g1 = false;        // g1a + g1b + g1c
+  bool g2 = false;
+  bool g_single = false;
+  bool fractured = false;
+  bool si = false;        // g_si_a + g_si_b (start-dependency edges)
+  bool rt = false;        // rt_cycle (real-time edges)
+};
+
+Needs needs_of(ct::IsolationLevel level) {
+  using L = ct::IsolationLevel;
+  Needs n;
+  switch (level) {
+    case L::kReadUncommitted:
+      n.g0 = true;
+      break;
+    case L::kReadCommitted:
+      n.g1 = true;
+      break;
+    case L::kReadAtomic:
+      n.g1 = n.fractured = true;
+      break;
+    case L::kPSI:
+      n.g1 = n.g_single = true;
+      break;
+    case L::kAnsiSI:
+      n.g1 = n.si = true;
+      break;
+    case L::kSerializable:
+      n.g1 = n.g2 = true;
+      break;
+    case L::kStrictSerializable:
+      n.g1 = n.g2 = n.rt = true;
+      break;
+    case L::kAdyaSI:
+    case L::kSessionSI:
+    case L::kStrongSI:
+      break;  // kInapplicable: no phenomena consulted
+  }
+  return n;
+}
+
+Phenomena detect_scoped(const model::CompiledHistory& ch, const InstallOrders& io,
+                        const Needs& want, const Dsg* prebuilt) {
+  Phenomena p;
+
+  // G1a / G1b are single flag tests: a dirty read *is* an unknown-writer op,
+  // an intermediate read *is* a phantom or writer-misses-key op.
+  if (want.g1) {
+    for (model::TxnIdx d = 0; d < ch.size(); ++d) {
+      const model::OpsView cops = ch.ops(d);
+      for (std::size_t i = 0; i < cops.size(); ++i) {
+        const std::uint8_t m = cops.flags(i);
+        if ((m & (model::kOpWrite | model::kOpInitWriter | model::kOpSelfWriter)) != 0) {
+          continue;
+        }
+        if ((m & model::kOpUnknownWriter) != 0) {
+          p.g1a = true;
+        } else if ((m & (model::kOpPhantom | model::kOpWriterMissesKey)) != 0) {
+          p.g1b = true;
+        }
+      }
+    }
+  }
+  if (want.fractured) p.fractured = detect_fractured(ch, io);
+
+  const bool want_dsg = want.g0 || want.g1 || want.g2 || want.g_single ||
+                        want.si || want.rt;
+  if (!want_dsg) return p;
+
+  std::optional<Dsg> built;
+  const Dsg& dsg = prebuilt != nullptr ? *prebuilt : built.emplace(ch, io);
+  if (want.g0) p.g0 = dsg.has_cycle(kWW);
+  if (want.g1) p.g1c = dsg.has_cycle(kDependency);
+  // G2 = some cycle contains an anti-dependency edge ⟺ some rw edge (u,v)
+  // is closed by a path v →* u over arbitrary DSG edges. With the path
+  // restricted to dependency edges the cycle has *exactly* one rw: G-Single.
+  if (want.g2) p.g2 = dsg.cycle_with_exactly_one(kRW, kAllDsg);
+  if (want.g_single) p.g_single = dsg.cycle_with_exactly_one(kRW, kDependency);
+
+  if (want.si) {
+    Dsg ssg = dsg;  // start / real-time edges are additive: copy, don't rebuild
+    if (ssg.add_start_edges(ch)) {
+      // G-SIa: a ww/wr edge without a corresponding start-dependency edge.
+      bool sia = false;
+      for (const Edge& e : ssg.edges()) {
+        if (e.kind != kWW && e.kind != kWR) continue;
+        if (!(ch.commit_ts(static_cast<model::TxnIdx>(e.from)) <
+              ch.start_ts(static_cast<model::TxnIdx>(e.to)))) {
+          sia = true;
+          break;
+        }
+      }
+      p.g_si_a = sia;
+      p.g_si_b = ssg.cycle_with_exactly_one(kRW, kDependency | kSD);
+    }
+  }
+
+  if (want.rt) {
+    Dsg rt = dsg;
+    if (rt.add_realtime_edges(ch)) {
+      p.rt_cycle = rt.has_cycle(kAllDsg | kRT);
+    }
+  }
+  return p;
 }
 
 }  // namespace
 
-Phenomena detect(const History& h) {
-  Phenomena p;
-  p.g1a = detect_g1a(h);
-  p.g1b = detect_g1b(h);
-  p.fractured = detect_fractured(h);
+Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io) {
+  Needs all;
+  all.g0 = all.g1 = all.g2 = all.g_single = all.fractured = all.si = all.rt = true;
+  return detect_scoped(ch, io, all, nullptr);
+}
 
-  Dsg dsg(h);
-  p.g0 = dsg.has_cycle(kWW);
-  p.g1c = dsg.has_cycle(kDependency);
-  // G2 = some cycle contains an anti-dependency edge ⟺ some rw edge (u,v)
-  // is closed by a path v →* u over arbitrary DSG edges. With the path
-  // restricted to dependency edges the cycle has *exactly* one rw: G-Single.
-  p.g2 = dsg.cycle_with_exactly_one(kRW, kAllDsg);
-  p.g_single = dsg.cycle_with_exactly_one(kRW, kDependency);
-
-  Dsg ssg(h);
-  if (ssg.add_start_edges(h)) {
-    // G-SIa: a ww/wr edge without a corresponding start-dependency edge.
-    bool sia = false;
-    for (const Edge& e : ssg.edges()) {
-      if (e.kind != kWW && e.kind != kWR) continue;
-      const HistTxn& a = h.by_id(ssg.id_of(e.from));
-      const HistTxn& b = h.by_id(ssg.id_of(e.to));
-      if (!(a.commit_ts < b.start_ts)) {
-        sia = true;
-        break;
-      }
-    }
-    p.g_si_a = sia;
-    p.g_si_b = ssg.cycle_with_exactly_one(kRW, kDependency | kSD);
-  }
-
-  Dsg rt(h);
-  if (rt.add_realtime_edges(h)) {
-    p.rt_cycle = rt.has_cycle(kAllDsg | kRT);
-  }
-  return p;
+Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io,
+                 ct::IsolationLevel level, const Dsg* dsg) {
+  return detect_scoped(ch, io, needs_of(level), dsg);
 }
 
 Verdict satisfies(const Phenomena& p, ct::IsolationLevel level) {
@@ -143,10 +204,6 @@ Verdict satisfies(const Phenomena& p, ct::IsolationLevel level) {
   return Verdict::kInapplicable;
 }
 
-Verdict satisfies(const History& h, ct::IsolationLevel level) {
-  return satisfies(detect(h), level);
-}
-
 namespace {
 
 std::string render_cycle(const std::vector<TxnId>& cycle) {
@@ -158,49 +215,54 @@ std::string render_cycle(const std::vector<TxnId>& cycle) {
 
 }  // namespace
 
-std::string explain_violation(const History& h, ct::IsolationLevel level) {
-  const Phenomena p = detect(h);
+std::string explain_violation(const model::CompiledHistory& ch, const InstallOrders& io,
+                              ct::IsolationLevel level, const Dsg* dsg) {
+  std::optional<Dsg> built;
+  const Dsg& g = dsg != nullptr ? *dsg : built.emplace(ch, io);
+  return explain_violation(ch, level, g, detect(ch, io, level, &g));
+}
+
+std::string explain_violation(const model::CompiledHistory& ch, ct::IsolationLevel level,
+                              const Dsg& g, const Phenomena& p) {
   if (satisfies(p, level) != Verdict::kViolated) return {};
 
   using L = ct::IsolationLevel;
-  Dsg dsg(h);
-
   // G1a / G1b apply to every level at or above read committed.
   if (level != L::kReadUncommitted) {
     if (p.g1a) return "G1a (dirty read): a committed transaction observed an aborted write";
     if (p.g1b) return "G1b (intermediate read): a committed transaction observed a non-final write";
     if (p.g1c) {
-      return "G1c (circular information flow): " + render_cycle(dsg.find_cycle(kDependency));
+      return "G1c (circular information flow): " + render_cycle(g.find_cycle(kDependency));
     }
   }
 
   switch (level) {
     case L::kReadUncommitted:
-      return "G0 (write cycle): " + render_cycle(dsg.find_cycle(kWW));
+      return "G0 (write cycle): " + render_cycle(g.find_cycle(kWW));
     case L::kReadAtomic:
       return "fractured read: a transaction observed part of another's atomic write set";
     case L::kPSI:
       return "G-Single (single anti-dependency cycle): " +
-             render_cycle(dsg.find_cycle_with_exactly_one(kRW, kDependency));
+             render_cycle(g.find_cycle_with_exactly_one(kRW, kDependency));
     case L::kAnsiSI: {
       if (p.g_si_a.value_or(false)) {
         return "G-SIa (interference): a dependency edge without a start-dependency edge";
       }
-      Dsg ssg(h);
-      ssg.add_start_edges(h);
+      Dsg ssg = g;
+      ssg.add_start_edges(ch);
       return "G-SIb (missed effects): " +
              render_cycle(ssg.find_cycle_with_exactly_one(kRW, kDependency | kSD));
     }
     case L::kSerializable:
       return "G2 (anti-dependency cycle): " +
-             render_cycle(dsg.find_cycle_with_exactly_one(kRW, kAllDsg));
+             render_cycle(g.find_cycle_with_exactly_one(kRW, kAllDsg));
     case L::kStrictSerializable: {
       if (p.g2) {
         return "G2 (anti-dependency cycle): " +
-               render_cycle(dsg.find_cycle_with_exactly_one(kRW, kAllDsg));
+               render_cycle(g.find_cycle_with_exactly_one(kRW, kAllDsg));
       }
-      Dsg rt(h);
-      rt.add_realtime_edges(h);
+      Dsg rt = g;
+      rt.add_realtime_edges(ch);
       return "real-time violation: " + render_cycle(rt.find_cycle(kAllDsg | kRT));
     }
     default:

@@ -1,17 +1,20 @@
 // Adya's phenomena (Definition A.7) and per-level history verdicts
-// (Definition A.8), plus Bailis's fractured reads (Appendix B).
+// (Definition A.8), plus Bailis's fractured reads (Appendix B), computed on
+// the compiled form: one Adya implementation, shared by the graph engine,
+// the report and the explanations.
 //
 // Verdicts are computed with respect to the history's recorded version order
 // and (where applicable) its recorded start/commit points. This matches how
 // the equivalence theorems instantiate both (e.g. Theorem 1's ⇒ direction
-// instantiates << from the execution order).
+// instantiates << from the execution order). A store's Adya History reaches
+// them by projection: to_observations(h), compiled, with
+// compile_install_orders(ch, &h.version_order()).
 #pragma once
 
 #include <optional>
 #include <string>
 
 #include "adya/graph.hpp"
-#include "adya/history.hpp"
 #include "committest/levels.hpp"
 
 namespace crooks::adya {
@@ -33,24 +36,19 @@ struct Phenomena {
   std::string to_string() const;
 };
 
-Phenomena detect(const History& h);
-
-/// Same phenomena from the compiled form. G1a, G1b and fractured reads fall
-/// out of the precomputed per-op flags (a dirty read *is* an unknown-writer
-/// op; an intermediate read *is* a phantom or writer-misses-key op); the
-/// graph phenomena reuse one compiled Dsg, copied — not rebuilt — for the
-/// timestamped variants. Verdict-equivalent to detect(from_observations(...)).
+/// Every phenomenon. G1a, G1b and fractured reads fall out of the
+/// precomputed per-op flags (a dirty read *is* an unknown-writer op; an
+/// intermediate read *is* a phantom or writer-misses-key op); the graph
+/// phenomena reuse one Dsg, copied — not rebuilt — for the timestamped
+/// variants, whose start / real-time edges are a linear time chain.
 Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io);
 
 /// Level-scoped variant: computes only the phenomena satisfies(p, level)
-/// consults and leaves the rest at their defaults. This is a complexity
-/// class, not a constant factor: the SI-family phenomena (G-SIb, real-time
-/// cycles) need the start/real-time edge sets, which are Θ(n²) edges on a
-/// mostly-serial history — asking about Read Committed must not pay for
-/// them. The full detect() above remains the reference the equivalence
-/// tests pin this against. A caller that already holds Dsg(ch, io) passes
-/// it as `dsg` and it is not built again (the graph engine sorts its
-/// witness over the same graph).
+/// consults and leaves the rest at their defaults (asking about Read
+/// Committed builds no time chain and runs no fractured-read scan). The
+/// full detect() above is the reference the tests pin this against. A
+/// caller that already holds Dsg(ch, io) passes it as `dsg` and it is not
+/// built again (the graph engine sorts its witness over the same graph).
 Phenomena detect(const model::CompiledHistory& ch, const InstallOrders& io,
                  ct::IsolationLevel level, const Dsg* dsg = nullptr);
 
@@ -74,13 +72,21 @@ enum class Verdict {
 /// Adya SI (timestamp-free) existentially quantifies the start/commit
 /// points, and Session/Strong SI have no phenomena-style definition in
 /// Adya's framework; those are decided by the state-based checker instead.
-Verdict satisfies(const History& h, ct::IsolationLevel level);
 Verdict satisfies(const Phenomena& p, ct::IsolationLevel level);
 
 /// Phenomenon-level diagnosis for a violated level, including a concrete
-/// conflict cycle when one exists (e.g. "G-Single: T3 -rw-> T5 -> T3").
-/// Empty when the history satisfies the level (or the level is
-/// inapplicable).
-std::string explain_violation(const History& h, ct::IsolationLevel level);
+/// conflict cycle when one exists (e.g. "G-Single (single anti-dependency
+/// cycle): T3 -> T5 -> T3"). Empty when the history satisfies the level (or
+/// the level is inapplicable). Computes only the level's phenomena, on
+/// `dsg` when the caller already built Dsg(ch, io). A cycle lists
+/// transactions only; consecutive ones are joined by a DSG edge or, where
+/// the cycle crosses the time chain, satisfy commit < start.
+std::string explain_violation(const model::CompiledHistory& ch, const InstallOrders& io,
+                              ct::IsolationLevel level, const Dsg* dsg = nullptr);
+
+/// The same, for a caller that already holds Dsg(ch, io) and the level's
+/// phenomena `p` = detect(ch, io, level, &g): nothing is detected again.
+std::string explain_violation(const model::CompiledHistory& ch, ct::IsolationLevel level,
+                              const Dsg& g, const Phenomena& p);
 
 }  // namespace crooks::adya

@@ -13,8 +13,9 @@
 // The search runs entirely on the CompiledHistory form: operations are
 // pre-classified (phantom / internal / unknown writer), writers and keys are
 // dense indices, and the per-node state — timelines, version-order cursors,
-// footprints, real-time/session predecessor counts — lives in flat vectors
-// indexed by KeyIdx/TxnIdx. No hash map or hash set is touched between nodes.
+// footprints, real-time/session frontiers over the commit-sorted chain —
+// lives in flat vectors indexed by KeyIdx/TxnIdx. No hash map or hash set is
+// touched between nodes, and no pairwise real-time relation is stored.
 //
 // Mixed-level mode: the commit test is modular in T, so a per-transaction
 // assignment only changes *which* test gates each placement — admissible()
@@ -38,6 +39,7 @@
 // choice and nodes_explored may vary with scheduling.
 #include <algorithm>
 #include <atomic>
+#include <unordered_map>
 
 #include "checker/checker.hpp"
 #include "checker/engine_obs.hpp"
@@ -115,7 +117,6 @@ class PrefixSearch {
   PrefixSearch(IsolationLevel level, const CompiledHistory& ch, const CheckOptions& opts)
       : level_(level),
         ch_(&ch),
-        adj_(&ch.adjacency()),
         candidates_(&ch.ts_order()),
         max_nodes_(opts.max_nodes),
         n_(ch.size()) {
@@ -143,12 +144,7 @@ class PrefixSearch {
     pos_.assign(n_, 0);
     prec_.assign(n_, DynamicBitset(n_));
     timelines_.resize(ch.key_count());
-    remaining_rt_.resize(n_);
-    remaining_sess_.resize(n_);
-    for (TxnIdx d = 0; d < n_; ++d) {
-      remaining_rt_[d] = adj_->rt_preds.row_size(d);
-      remaining_sess_[d] = adj_->sess_preds.row_size(d);
-    }
+    init_time_frontiers();
   }
 
   /// Mixed-level search: each candidate placement is gated by that
@@ -462,7 +458,7 @@ class PrefixSearch {
         return reads_latest(cops) || prune(Prune::kIncompleteParent);
       case IsolationLevel::kStrictSerializable:
         if (!reads_latest(cops)) return prune(Prune::kIncompleteParent);
-        return remaining_rt_[d] == 0 || prune(Prune::kRealTime);
+        return rt_ready(d) || prune(Prune::kRealTime);
       case IsolationLevel::kAdyaSI:
       case IsolationLevel::kAnsiSI:
       case IsolationLevel::kSessionSI:
@@ -559,17 +555,25 @@ class PrefixSearch {
     }
     if (level == IsolationLevel::kStrictSerializable ||
         level == IsolationLevel::kStrongSI) {
-      if (remaining_rt_[d] != 0) return prune(Prune::kRealTime);
+      if (!rt_ready(d)) return prune(Prune::kRealTime);
     }
-    if (level == IsolationLevel::kSessionSI && remaining_sess_[d] != 0) {
+    if (level == IsolationLevel::kSessionSI && !sess_ready(d)) {
       return prune(Prune::kSession);
     }
 
+    // The snapshot must follow every (session) real-time predecessor: the
+    // placed prefix of the commit-sorted chain that precedes start(d).
     StateIndex lower = 0;
     if (level == IsolationLevel::kStrongSI) {
-      for (TxnIdx p : adj_->rt_preds.row(d)) lower = std::max(lower, pos_[p]);
-    } else if (level == IsolationLevel::kSessionSI) {
-      for (TxnIdx p : adj_->sess_preds.row(d)) lower = std::max(lower, pos_[p]);
+      const std::vector<TxnIdx>& chain = ch_->ts_order();
+      for (std::uint32_t i = 0; i < rt_need_[d]; ++i) {
+        lower = std::max(lower, pos_[chain[i]]);
+      }
+    } else if (level == IsolationLevel::kSessionSI && sess_of_[d] != kNoChain) {
+      const std::vector<TxnIdx>& chain = sess_chain_[sess_of_[d]];
+      for (std::uint32_t i = 0; i < sess_need_[d]; ++i) {
+        lower = std::max(lower, pos_[chain[i]]);
+      }
     }
 
     // NO-CONF: last prefix write of any key in W_T.
@@ -620,6 +624,84 @@ class PrefixSearch {
     }
   }
 
+  // --- real-time / session readiness as frontiers -------------------------
+  //
+  // d's real-time predecessors {a : commit(a) < start(d)} are the prefix
+  // ts_order()[0, rt_need_[d]) of the commit-sorted chain (an interval
+  // order needs no pairs), so "all of them placed" is "the placed prefix of
+  // the chain is at least that long". rt_front_ is that placed-prefix
+  // length; each session keeps the same frontier over its own sub-chain.
+  // place() advances a frontier only when d sits exactly on it; unplace()
+  // pulls it back to d's rank, which is exact because placements are LIFO.
+
+  static constexpr std::uint32_t kNoChain = ~std::uint32_t{0};
+
+  void init_time_frontiers() {
+    const std::vector<TxnIdx>& chain = ch_->ts_order();
+    const std::size_t timed = ch_->ts_timed();
+    chain_rank_.assign(n_, kNoChain);
+    rt_need_.assign(n_, 0);
+    sess_of_.assign(n_, kNoChain);
+    sess_rank_.assign(n_, kNoChain);
+    sess_need_.assign(n_, 0);
+    std::unordered_map<SessionId, std::uint32_t> sessions;
+    for (std::size_t i = 0; i < timed; ++i) {
+      const TxnIdx a = chain[i];
+      chain_rank_[a] = static_cast<std::uint32_t>(i);
+      if (ch_->session(a) == kNoSession) continue;
+      const auto [it, fresh] = sessions.try_emplace(
+          ch_->session(a), static_cast<std::uint32_t>(sess_chain_.size()));
+      if (fresh) sess_chain_.emplace_back();
+      sess_rank_[a] = static_cast<std::uint32_t>(sess_chain_[it->second].size());
+      sess_chain_[it->second].push_back(a);
+    }
+    sess_front_.assign(sess_chain_.size(), 0);
+    for (TxnIdx d = 0; d < n_; ++d) {
+      const Timestamp start = ch_->start_ts(d);
+      rt_need_[d] = static_cast<std::uint32_t>(ch_->rt_prefix(start));
+      if (ch_->session(d) == kNoSession) continue;
+      const auto it = sessions.find(ch_->session(d));
+      if (it == sessions.end()) continue;
+      sess_of_[d] = it->second;
+      if (start == kNoTimestamp) continue;
+      const std::vector<TxnIdx>& sc = sess_chain_[it->second];
+      sess_need_[d] = static_cast<std::uint32_t>(
+          std::lower_bound(sc.begin(), sc.end(), start,
+                           [this](TxnIdx a, Timestamp v) {
+                             return ch_->commit_ts(a) < v;
+                           }) -
+          sc.begin());
+    }
+  }
+
+  bool rt_ready(TxnIdx d) const { return rt_front_ >= rt_need_[d]; }
+  bool sess_ready(TxnIdx d) const {
+    return sess_of_[d] == kNoChain || sess_front_[sess_of_[d]] >= sess_need_[d];
+  }
+
+  void advance_frontiers(TxnIdx d) {
+    if (chain_rank_[d] == rt_front_) {
+      const std::vector<TxnIdx>& chain = ch_->ts_order();
+      const std::size_t timed = ch_->ts_timed();
+      while (rt_front_ < timed && placed(chain[rt_front_])) ++rt_front_;
+    }
+    if (sess_rank_[d] != kNoChain) {
+      const std::vector<TxnIdx>& chain = sess_chain_[sess_of_[d]];
+      std::uint32_t& front = sess_front_[sess_of_[d]];
+      if (sess_rank_[d] == front) {
+        while (front < chain.size() && placed(chain[front])) ++front;
+      }
+    }
+  }
+
+  void retreat_frontiers(TxnIdx d) {
+    rt_front_ = std::min(rt_front_, chain_rank_[d]);
+    if (sess_rank_[d] != kNoChain) {
+      std::uint32_t& front = sess_front_[sess_of_[d]];
+      front = std::min(front, sess_rank_[d]);
+    }
+  }
+
   void place(TxnIdx d) {
     if (need_prec_ && level_of(d) != IsolationLevel::kPSI) build_prec(d);
     order_.push_back(d);
@@ -628,8 +710,7 @@ class PrefixSearch {
       timelines_[k].emplace_back(pos_[d], d);
       if (vo_active_ && vo_has_[k]) ++vo_next_[k];
     }
-    for (TxnIdx s : adj_->rt_succs.row(d)) --remaining_rt_[s];
-    for (TxnIdx s : adj_->sess_succs.row(d)) --remaining_sess_[s];
+    advance_frontiers(d);
   }
 
   void unplace() {
@@ -640,8 +721,7 @@ class PrefixSearch {
       timelines_[k].pop_back();
       if (vo_active_ && vo_has_[k]) --vo_next_[k];
     }
-    for (TxnIdx s : adj_->rt_succs.row(d)) ++remaining_rt_[s];
-    for (TxnIdx s : adj_->sess_succs.row(d)) ++remaining_sess_[s];
+    retreat_frontiers(d);
   }
 
   bool dfs() {
@@ -696,7 +776,6 @@ class PrefixSearch {
   /// Mixed with PSI present: maintain PREC for every placed transaction.
   bool need_prec_ = false;
   const CompiledHistory* ch_;
-  const CompiledHistory::Adjacency* adj_;
   const std::vector<TxnIdx>* candidates_;  // ch_->ts_order(): fixed SWO comparator
   std::uint64_t max_nodes_;
   std::size_t n_;
@@ -718,7 +797,15 @@ class PrefixSearch {
   std::vector<std::vector<TxnIdx>> vo_seq_;  // by KeyIdx: install order (dense)
   std::vector<std::uint32_t> vo_next_;       // by KeyIdx: next unplaced installer
   std::vector<DynamicBitset> prec_;
-  std::vector<std::size_t> remaining_rt_, remaining_sess_;
+  // Real-time / session frontiers (see init_time_frontiers). By TxnIdx:
+  std::vector<std::uint32_t> chain_rank_;  // position in ts_order(), kNoChain if untimed
+  std::vector<std::uint32_t> rt_need_;     // ts_order() prefix that must be placed first
+  std::vector<std::uint32_t> sess_of_;     // session sub-chain, kNoChain if none
+  std::vector<std::uint32_t> sess_rank_;   // position in that sub-chain, kNoChain if untimed
+  std::vector<std::uint32_t> sess_need_;   // sub-chain prefix that must be placed first
+  std::vector<std::vector<TxnIdx>> sess_chain_;  // per session: ts_order() restricted to it
+  std::vector<std::uint32_t> sess_front_;        // per session: placed-prefix length
+  std::uint32_t rt_front_ = 0;                   // placed-prefix length of ts_order()
   std::vector<OpInterval> scratch_;
 };
 

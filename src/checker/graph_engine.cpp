@@ -13,10 +13,9 @@
 // exactly the edge set each theorem's ⇐ proof uses (A.2, A.4, A.5, B.2, E.2).
 //
 // The engine runs entirely on model::CompiledHistory — phenomena, graph
-// edges, commit-order candidates and witness verification all share the one
-// compiled form (the TransactionSet overloads compile once and delegate).
-// Only the cold unsatisfiable-explanation path lifts observations into an
-// Adya history, where the phenomenon renderers live.
+// edges, explanations, commit-order candidates and witness verification all
+// share the one compiled form (the TransactionSet overloads compile once and
+// delegate), and one Dsg per check.
 //
 // Everything found is re-verified against the canonical commit tests before
 // being reported — the engine never returns an unchecked witness.
@@ -54,11 +53,14 @@ struct GraphEffort {
 /// Kahn topological sort over the DSG edges selected by `mask`, breaking
 /// ties toward smaller commit timestamp then smaller id (deterministic,
 /// and commit order is the natural witness). Requires a Dsg built from `ch`
-/// (node i == dense index i). Empty result on a cycle.
+/// (node i == dense index i). Time-chain nodes are popped as soon as they
+/// are ready, ahead of any transaction, so a transaction becomes ready at
+/// exactly the step it would under the pairwise real-time edges: the order
+/// is the one the pairwise graph yields. Empty result on a cycle.
 std::vector<TxnId> topo_order(const adya::Dsg& dsg, std::uint8_t mask,
                               const CompiledHistory& ch, GraphEffort& eff) {
   const std::size_t n = dsg.size();
-  std::vector<std::size_t> indegree(n, 0);
+  std::vector<std::size_t> indegree(dsg.node_count(), 0);
   for (const adya::Edge& e : dsg.edges()) {
     if (!(e.kind & mask)) continue;
     ++indegree[e.to];
@@ -69,21 +71,32 @@ std::vector<TxnId> topo_order(const adya::Dsg& dsg, std::uint8_t mask,
   // comparison never reaches back into the history's columns.
   using Ready = std::tuple<Timestamp, TxnId, std::size_t>;
   std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  std::vector<std::size_t> time_ready;
   auto push = [&](std::size_t v) {
+    if (dsg.is_time_node(v)) {
+      time_ready.push_back(v);
+      return;
+    }
     const auto d = static_cast<TxnIdx>(v);
     ready.emplace(ch.commit_ts(d), ch.id_of(d), v);
   };
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < dsg.node_count(); ++i) {
     if (indegree[i] == 0) push(i);
   }
 
   std::vector<TxnId> order;
   order.reserve(n);
-  while (!ready.empty()) {
-    const std::size_t u = std::get<2>(ready.top());
-    ready.pop();
-    ++eff.nodes;
-    order.push_back(dsg.id_of(u));
+  while (!time_ready.empty() || !ready.empty()) {
+    std::size_t u;
+    if (!time_ready.empty()) {
+      u = time_ready.back();
+      time_ready.pop_back();
+    } else {
+      u = std::get<2>(ready.top());
+      ready.pop();
+      ++eff.nodes;
+      order.push_back(dsg.id_of(u));
+    }
     for (const adya::Arc& e : dsg.out_edges(u)) {
       if ((e.kind & mask) != 0 && --indegree[e.to] == 0) push(e.to);
     }
@@ -210,10 +223,9 @@ CheckResult check_graph_impl(IsolationLevel level, const CompiledHistory& ch,
     const adya::Phenomena p = adya::detect(ch, io, level, &dsg);
     const adya::Verdict verdict = adya::satisfies(p, level);
     if (verdict == adya::Verdict::kViolated) {
-      // Cold path: lift into an Adya history only to render the diagnosis.
-      adya::History h = adya::from_observations(ch.txns(), *opts.version_order);
       return {Outcome::kUnsatisfiable, std::nullopt,
-              "under the system's install order: " + adya::explain_violation(h, level),
+              "under the system's install order: " +
+                  adya::explain_violation(ch, level, dsg, p),
               0};
     }
     if (verdict == adya::Verdict::kSatisfied) {

@@ -50,10 +50,20 @@ void drop_front(V& v, std::size_t cut) {
   if (v.capacity() > 2 * v.size() + 1024) v.shrink_to_fit();
 }
 
+/// The input contract shared with the observation parser: a transaction
+/// must not commit before it starts.
+void reject_inverted_timestamps(const Transaction& t) {
+  if (t.has_timestamps() && t.start_ts() > t.commit_ts()) {
+    throw std::invalid_argument(crooks::to_string(t.id()) + ": " +
+                                inverted_timestamps_message(t.start_ts(), t.commit_ts()));
+  }
+}
+
 }  // namespace
 
 CompiledHistory::CompiledHistory(const TransactionSet& txns)
     : txns_(&txns), n_(txns.size()) {
+  for (const Transaction& t : txns) reject_inverted_timestamps(t);
   compile_block(0);
 }
 
@@ -253,6 +263,7 @@ const CompiledDelta& CompiledHistory::extend(std::span<const Transaction> block)
       throw std::invalid_argument("duplicate transaction id " +
                                   crooks::to_string(t.id()));
     }
+    reject_inverted_timestamps(t);
   }
 
   delta_ = CompiledDelta{};
@@ -282,8 +293,6 @@ const CompiledDelta& CompiledHistory::extend(std::span<const Transaction> block)
     }
     pending_.erase(it);
   }
-
-  if (adj_ready_.load(std::memory_order_relaxed)) extend_adjacency(*adj_, first);
   return delta_;
 }
 
@@ -328,19 +337,6 @@ CompiledHistory::RetireStats CompiledHistory::retire(TxnIdx upto) {
     it = v.empty() ? pending_.erase(it) : std::next(it);
   }
 
-  // Materialized adjacency: clear the retired rows (and drop the retired
-  // entries of the sort indices). Resident rows may still *name* retired
-  // dense indices — they are just numbers, and only engines barred from
-  // retired histories walk them.
-  if (adj_ready_.load(std::memory_order_relaxed)) {
-    for (TxnIdx d = first; d < upto; ++d) {
-      std::vector<TxnIdx>().swap(adj_->rt_preds.rows[d]);
-      std::vector<TxnIdx>().swap(adj_->rt_succs.rows[d]);
-      std::vector<TxnIdx>().swap(adj_->sess_preds.rows[d]);
-      std::vector<TxnIdx>().swap(adj_->sess_succs.rows[d]);
-    }
-  }
-
   retired_ = upto;
   st.txns = upto - first;
   if (obs::enabled()) {
@@ -355,155 +351,6 @@ CompiledHistory::RetireStats CompiledHistory::retire(TxnIdx upto) {
                           .add("ops", st.ops));
   }
   return st;
-}
-
-const CompiledHistory::Adjacency& CompiledHistory::adjacency() const {
-  if (!adj_ready_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(adj_mu_);
-    if (!adj_.has_value()) adj_ = build_adjacency();
-    adj_ready_.store(true, std::memory_order_release);
-  }
-  return *adj_;
-}
-
-CompiledHistory::Adjacency CompiledHistory::build_adjacency() const {
-  Adjacency adj;
-  const std::size_t n = n_;
-
-  // Committed transactions sorted by (commit_ts, dense): for any b, the
-  // real-time predecessors {a : commit(a) < start(b)} form a prefix of this
-  // array, found by one binary search instead of an O(n) scan per b. The
-  // start-sorted twin serves extend_adjacency (which old rows gain a new
-  // predecessor).
-  adj.by_commit.reserve(n);
-  adj.by_start.reserve(n);
-  for (TxnIdx d = 0; d < n; ++d) {
-    if (commit_ts_[d] != kNoTimestamp) adj.by_commit.push_back(d);
-    if (start_ts_[d] != kNoTimestamp) adj.by_start.push_back(d);
-  }
-  std::sort(adj.by_commit.begin(), adj.by_commit.end(), [this](TxnIdx a, TxnIdx b) {
-    if (commit_ts_[a] != commit_ts_[b]) return commit_ts_[a] < commit_ts_[b];
-    return a < b;
-  });
-  std::sort(adj.by_start.begin(), adj.by_start.end(), [this](TxnIdx a, TxnIdx b) {
-    if (start_ts_[a] != start_ts_[b]) return start_ts_[a] < start_ts_[b];
-    return a < b;
-  });
-
-  adj.rt_preds.rows.resize(n);
-  adj.rt_succs.rows.resize(n);
-  adj.sess_preds.rows.resize(n);
-  adj.sess_succs.rows.resize(n);
-  for (TxnIdx b = 0; b < n; ++b) {
-    if (start_ts_[b] == kNoTimestamp) continue;
-    const Timestamp s = start_ts_[b];
-    auto end = std::lower_bound(
-        adj.by_commit.begin(), adj.by_commit.end(), s,
-        [this](TxnIdx a, Timestamp v) { return commit_ts_[a] < v; });
-    for (auto it = adj.by_commit.begin(); it != end; ++it) {
-      const TxnIdx a = *it;
-      if (a == b) continue;
-      adj.rt_preds.rows[b].push_back(a);
-      if (session_[b] != kNoSession && session_[a] == session_[b]) {
-        adj.sess_preds.rows[b].push_back(a);
-      }
-    }
-  }
-  // Invert: iterating b in ascending dense order keeps every successor row in
-  // ascending dense order, the canonical form extend_adjacency preserves.
-  for (TxnIdx b = 0; b < n; ++b) {
-    for (TxnIdx a : adj.rt_preds.rows[b]) adj.rt_succs.rows[a].push_back(b);
-    for (TxnIdx a : adj.sess_preds.rows[b]) adj.sess_succs.rows[a].push_back(b);
-  }
-  return adj;
-}
-
-void CompiledHistory::extend_adjacency(Adjacency& adj, TxnIdx first) const {
-  const std::size_t n = n_;
-  adj.rt_preds.rows.resize(n);
-  adj.rt_succs.rows.resize(n);
-  adj.sess_preds.rows.resize(n);
-  adj.sess_succs.rows.resize(n);
-
-  auto commit_less = [this](TxnIdx a, TxnIdx b) {
-    if (commit_ts_[a] != commit_ts_[b]) return commit_ts_[a] < commit_ts_[b];
-    return a < b;
-  };
-  auto start_less = [this](TxnIdx a, TxnIdx b) {
-    if (start_ts_[a] != start_ts_[b]) return start_ts_[a] < start_ts_[b];
-    return a < b;
-  };
-  for (TxnIdx d = first; d < n; ++d) {
-    if (commit_ts_[d] != kNoTimestamp) {
-      adj.by_commit.insert(
-          std::lower_bound(adj.by_commit.begin(), adj.by_commit.end(), d, commit_less),
-          d);
-    }
-    if (start_ts_[d] != kNoTimestamp) {
-      adj.by_start.insert(
-          std::lower_bound(adj.by_start.begin(), adj.by_start.end(), d, start_less),
-          d);
-    }
-  }
-
-  // New transactions' full predecessor rows, exactly as build_adjacency would
-  // compute them (the sort indices already include the whole block, so
-  // intra-block real-time edges appear too). Old predecessors' successor rows
-  // are appended in ascending new-dense order, preserving the canonical form;
-  // new transactions' successor rows are collected and sorted at the end.
-  std::vector<std::vector<TxnIdx>> succ_new(n - first), sess_succ_new(n - first);
-  for (TxnIdx b = first; b < n; ++b) {
-    if (start_ts_[b] == kNoTimestamp) continue;
-    auto end = std::lower_bound(
-        adj.by_commit.begin(), adj.by_commit.end(), start_ts_[b],
-        [this](TxnIdx a, Timestamp v) { return commit_ts_[a] < v; });
-    for (auto it = adj.by_commit.begin(); it != end; ++it) {
-      const TxnIdx a = *it;
-      if (a == b) continue;
-      adj.rt_preds.rows[b].push_back(a);
-      if (a < first) {
-        adj.rt_succs.rows[a].push_back(b);
-      } else {
-        succ_new[a - first].push_back(b);
-      }
-      if (session_[b] != kNoSession && session_[a] == session_[b]) {
-        adj.sess_preds.rows[b].push_back(a);
-        if (a < first) {
-          adj.sess_succs.rows[a].push_back(b);
-        } else {
-          sess_succ_new[a - first].push_back(b);
-        }
-      }
-    }
-  }
-
-  // A new transaction can also be a late-arriving predecessor of an *old* one
-  // (commit(new) < start(old)): insert it at its (commit, dense) position in
-  // the old row, keeping the row bit-identical to a fresh build.
-  for (TxnIdx a = first; a < n; ++a) {
-    if (commit_ts_[a] == kNoTimestamp) continue;
-    auto it = std::upper_bound(
-        adj.by_start.begin(), adj.by_start.end(), commit_ts_[a],
-        [this](Timestamp v, TxnIdx q) { return v < start_ts_[q]; });
-    for (; it != adj.by_start.end(); ++it) {
-      const TxnIdx q = *it;
-      if (q >= first) continue;  // new q: handled by the block pass above
-      auto& row = adj.rt_preds.rows[q];
-      row.insert(std::lower_bound(row.begin(), row.end(), a, commit_less), a);
-      succ_new[a - first].push_back(q);
-      if (session_[q] != kNoSession && session_[a] == session_[q]) {
-        auto& srow = adj.sess_preds.rows[q];
-        srow.insert(std::lower_bound(srow.begin(), srow.end(), a, commit_less), a);
-        sess_succ_new[a - first].push_back(q);
-      }
-    }
-  }
-  for (TxnIdx a = first; a < n; ++a) {
-    std::sort(succ_new[a - first].begin(), succ_new[a - first].end());
-    std::sort(sess_succ_new[a - first].begin(), sess_succ_new[a - first].end());
-    adj.rt_succs.rows[a] = std::move(succ_new[a - first]);
-    adj.sess_succs.rows[a] = std::move(sess_succ_new[a - first]);
-  }
 }
 
 }  // namespace crooks::model

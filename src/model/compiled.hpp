@@ -16,9 +16,11 @@
 //   * per-key committed-writer lists are rows over `KeyIdx`,
 //   * read-from edges are the `kReadExternal` ops themselves (writer already
 //     dense), and
-//   * real-time + session predecessor/successor adjacency is computed in one
-//     sorted pass, lazily (only the exhaustive engine needs it; read-state
-//     analysis of large histories must not pay O(n²)).
+//   * transactions are kept sorted by commit timestamp (`ts_order`). The
+//     real-time order T <_s T' ⟺ commit(T) < start(T') is an interval
+//     order, so T's real-time predecessors are exactly the prefix of that
+//     sequence committed before start(T): one binary search, never a stored
+//     pairwise relation.
 //
 // Two construction modes:
 //
@@ -28,17 +30,21 @@
 //   * Owning / growable (streaming): the default constructor produces an
 //     empty history that owns its TransactionSet; `extend(block)` appends a
 //     block of transactions and recompiles *incrementally* — interners are
-//     extended, footprint/adjacency rows are appended in place, previously
+//     extended, footprint rows are appended in place, previously
 //     unknown writers are re-resolved when they arrive, and the block's
 //     candidates are spliced into `ts_order` without re-sorting the prefix.
 //     The result is structurally identical to compiling the concatenated set
 //     from scratch (asserted field-for-field by tests/online_incremental_test),
 //     so every engine can consume a grown history transparently.
 //
-// Thread-safety: concurrent readers may share one instance (lazy adjacency is
-// built under a mutex with an atomic published flag). `extend` is a writer:
-// it must not race with any reader — the streaming OnlineChecker, its only
-// concurrent-capable consumer, is externally synchronized anyway.
+// Thread-safety: concurrent readers may share one instance (no accessor
+// mutates it). `extend` is a writer: it must not race with any reader — the
+// streaming OnlineChecker, its only concurrent-capable consumer, is
+// externally synchronized anyway.
+//
+// Input contract: a transaction whose start timestamp is after its commit
+// timestamp would real-time-precede itself; both construction modes reject it
+// with std::invalid_argument, in the observation parser's words.
 //
 // Verdict independence: compilation is a pure re-indexing — every predicate an
 // engine evaluates (read-state intervals, PREREAD/COMPLETE/NO-CONF, version
@@ -50,10 +56,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -216,8 +220,7 @@ class OpsView {
 };
 
 /// Sparse rows: `row(i)` is a span over row i's items. Stored per-row (not as
-/// one flat CSR) so `extend` can append to interior rows in place; the row
-/// accessors are unchanged from the CSR form, so engines are oblivious.
+/// one flat CSR) so `extend` can append to interior rows in place.
 struct Rows {
   std::vector<std::vector<TxnIdx>> rows;
 
@@ -256,7 +259,9 @@ class CompiledHistory {
   /// in the owning mode (throws std::logic_error otherwise); throws
   /// std::invalid_argument on a duplicate or reserved id, like the
   /// TransactionSet constructor. The returned delta is valid until the next
-  /// extend(). Not thread-safe against concurrent readers.
+  /// extend(). Throws std::invalid_argument, before changing anything, on a
+  /// transaction whose start is after its commit. Not thread-safe against
+  /// concurrent readers.
   const CompiledDelta& extend(std::span<const Transaction> block);
   const CompiledDelta& extend(const Transaction& txn) {
     return extend(std::span<const Transaction>(&txn, 1));
@@ -265,9 +270,8 @@ class CompiledHistory {
   // --- epoch-based prefix retirement (bounded-memory streaming) -------------
   //
   // retire(upto) folds the prefix [0, upto) into a summarized base state so a
-  // monitor can run forever: the per-op SoA arrays, read-key footprints,
-  // materialized adjacency rows and the owned Transaction
-  // payloads of the prefix are reclaimed; everything a *future* append can
+  // monitor can run forever: the per-op SoA arrays, read-key footprints and
+  // the owned Transaction payloads of the prefix are reclaimed; everything a *future* append can
   // still be judged against is retained, at a flat few dozen bytes per
   // retired transaction:
   //
@@ -407,29 +411,28 @@ class CompiledHistory {
   /// candidates into both regions without re-sorting the prefix.
   const std::vector<TxnIdx>& ts_order() const { return ts_order_; }
 
-  // --- real-time / session adjacency (lazy) --------------------------------
+  /// Length of the timestamped prefix of ts_order(): the commit-timestamped
+  /// transactions, sorted by (commit_ts, dense).
+  std::size_t ts_timed() const { return ts_timed_; }
 
-  struct Adjacency {
-    Rows rt_preds, rt_succs;      // a ∈ rt_preds[b] ⟺ a <_s b
-    Rows sess_preds, sess_succs;  // same, restricted to a.session == b.session
-    // Sort indices kept so extend() can update the rows incrementally:
-    std::vector<TxnIdx> by_commit;  // commit-timestamped txns, by (commit, dense)
-    std::vector<TxnIdx> by_start;   // start-timestamped txns, by (start, dense)
-  };
-
-  /// Computed on first use (one sorted pass + edge fill), then shared;
-  /// thread-safe so parallel search branches can share one instance. If
-  /// already materialized when extend() runs, the rows are updated in place
-  /// (prefix rows gain late-arriving predecessors at their sorted position),
-  /// bit-identical to rebuilding from scratch.
-  const Adjacency& adjacency() const;
+  /// Real-time predecessors of a start point: the number of transactions
+  /// committed strictly before `start`. They are exactly ts_order()[0, r),
+  /// so T's real-time predecessors {a : commit(a) < start(T)} are the prefix
+  /// of length rt_prefix(start_ts(T)) (0 for kNoTimestamp). One binary
+  /// search over the commit-sorted prefix.
+  std::size_t rt_prefix(Timestamp start) const {
+    if (start == kNoTimestamp) return 0;
+    const auto end = ts_order_.begin() + static_cast<std::ptrdiff_t>(ts_timed_);
+    return static_cast<std::size_t>(
+        std::lower_bound(ts_order_.begin(), end, start,
+                         [this](TxnIdx a, Timestamp v) { return commit_ts_[a] < v; }) -
+        ts_order_.begin());
+  }
 
  private:
   /// Compile transactions [first, txns_->size()): the constructor's whole-set
   /// pass and extend()'s per-block pass are the same code.
   void compile_block(TxnIdx first);
-  Adjacency build_adjacency() const;
-  void extend_adjacency(Adjacency& adj, TxnIdx first) const;
   bool ts_less(TxnIdx a, TxnIdx b) const;
 
   const TransactionSet* txns_;
@@ -472,10 +475,6 @@ class CompiledHistory {
   std::unordered_map<TxnId, std::vector<std::pair<TxnIdx, std::uint32_t>>> pending_;
   CompiledDelta delta_;
   std::vector<char> written_scratch_;  // per-txn program-order scratch, keyed by KeyIdx
-
-  mutable std::mutex adj_mu_;
-  mutable std::atomic<bool> adj_ready_{false};
-  mutable std::optional<Adjacency> adj_;
 };
 
 }  // namespace crooks::model

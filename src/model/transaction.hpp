@@ -22,6 +22,14 @@
 
 namespace crooks::model {
 
+/// The input-contract error for a transaction that commits before it starts:
+/// it would real-time-precede itself, so every timed level would refute it
+/// on malformed input. The observation parser and CompiledHistory reject it
+/// in these words.
+inline std::string inverted_timestamps_message(Timestamp start, Timestamp commit) {
+  return "start=" + std::to_string(start) + " is after commit=" + std::to_string(commit);
+}
+
 class Transaction {
  public:
   Transaction() = default;

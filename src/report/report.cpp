@@ -68,10 +68,12 @@ AuditResult audit_impl(const Observations& obs, const checker::CheckOptions& bas
     replay->append_all(obs.txns);
   }
 
+  // One compilation serves every level, the phenomena and the mixed audit.
+  const model::CompiledHistory ch(obs.txns);
   std::vector<ct::IsolationLevel> passing;
   std::optional<model::Execution> strongest_witness;
   for (ct::IsolationLevel level : ct::kAllLevels) {
-    const checker::CheckResult r = checker::check(level, obs.txns, opts);
+    const checker::CheckResult r = checker::check(level, ch, opts);
     if (replay.has_value()) {
       engine_lines +=
           engine_exemplar_line(replay->stream(), r, level, ct::name_of(level));
@@ -118,9 +120,9 @@ AuditResult audit_impl(const Observations& obs, const checker::CheckOptions& bas
   // Name the anomalies when the install order pins them down.
   if (opts.version_order != nullptr) {
     try {
-      const adya::History h = adya::from_observations(obs.txns, *opts.version_order);
-      const adya::Phenomena p = adya::detect(h);
-      out << "phenomena under the install order: " << p.to_string() << "\n";
+      const adya::InstallOrders io = adya::compile_install_orders(ch, opts.version_order);
+      out << "phenomena under the install order: " << adya::detect(ch, io).to_string()
+          << "\n";
     } catch (const std::invalid_argument& e) {
       out << "phenomena unavailable: " << e.what() << "\n";
     }
@@ -154,7 +156,7 @@ AuditResult audit_impl(const Observations& obs, const checker::CheckOptions& bas
     out << "  level groups:";
     for (const auto& [l, n] : groups) out << "  " << ct::name_of(l) << " ×" << n;
     out << "\n";
-    const checker::CheckResult r = checker::check(assignment, obs.txns, opts);
+    const checker::CheckResult r = checker::check(assignment, ch, opts);
     out << "  " << verdict_word(r) << "  " << assignment.describe() << "\n";
     if (!r.satisfiable() && !r.detail.empty()) out << "        " << r.detail << "\n";
     if (r.unsatisfiable() && r.diagnosis.has_value()) {

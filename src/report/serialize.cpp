@@ -115,8 +115,7 @@ Observations parse_observations(std::istream& in) {
       // A transaction that commits before it starts real-time-precedes
       // itself: every timed level would refute it on malformed input.
       if (start != kNoTimestamp && commit != kNoTimestamp && start > commit) {
-        fail(lineno, "start=" + std::to_string(start) + " is after commit=" +
-                         std::to_string(commit));
+        fail(lineno, model::inverted_timestamps_message(start, commit));
       }
     } else if (tok[0] == "read") {
       if (!open) fail(lineno, "'read' outside a transaction");

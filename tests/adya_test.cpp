@@ -1,5 +1,6 @@
-// Adya baseline: history construction, DSG edges, phenomena detection, and
-// the history↔observation bridges.
+// Adya baseline: history construction, DSG edges, the time chain, phenomena
+// detection and explanations on the compiled form — each held to the
+// test-only pairwise oracle — and the history↔observation bridges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,13 +16,30 @@
 #include "adya/history.hpp"
 #include "adya/phenomena.hpp"
 #include "model/compiled.hpp"
+#include "pairwise_oracle.hpp"
 
 namespace crooks::adya {
 namespace {
 
 using ct::IsolationLevel;
+using pairwise::Lifted;
 
 constexpr Key kX{0}, kY{1};
+
+/// The compiled phenomena of `h`, held to the pairwise oracle field by field.
+Phenomena detect(const History& h) {
+  const Phenomena p = Lifted(h).detect();
+  const Phenomena want = pairwise::detect(h);
+  EXPECT_EQ(p.to_string(), want.to_string());
+  EXPECT_EQ(p.g_si_a, want.g_si_a);
+  EXPECT_EQ(p.g_si_b, want.g_si_b);
+  EXPECT_EQ(p.rt_cycle, want.rt_cycle);
+  return p;
+}
+
+std::string explain_violation(const History& h, IsolationLevel level) {
+  return Lifted(h).explain(level);
+}
 
 TEST(History, BuilderDerivesVersionOrderFromCommitOrder) {
   History h = HistoryBuilder()
@@ -76,7 +94,8 @@ TEST(Dsg, EdgesOfASimpleChain) {
                   .begin(1).write(1, 0).commit(1, 10)
                   .begin(2).read(2, 0, 1).write(2, 0).commit(2, 20)
                   .build();
-  Dsg g(h);
+  const Lifted l(h);
+  Dsg g(l.ch, l.io);
   ASSERT_EQ(g.size(), 2u);
   bool saw_ww = false, saw_wr = false;
   for (const Edge& e : g.edges()) {
@@ -98,7 +117,8 @@ TEST(Dsg, AntiDependencyFromStaleRead) {
                   .begin(1).read(1, 0, 0).commit(1, 10)
                   .begin(2).write(2, 0).commit(2, 20)
                   .build();
-  Dsg g(h);
+  const Lifted l(h);
+  Dsg g(l.ch, l.io);
   bool saw_rw = false;
   for (const Edge& e : g.edges()) {
     if (e.kind == kRW) {
@@ -118,7 +138,8 @@ TEST(Dsg, CycleDetectionByMask) {
                   .order(kX, {TxnId{1}, TxnId{2}})
                   .order(kY, {TxnId{2}, TxnId{1}})
                   .build();
-  Dsg g(h);
+  const Lifted l(h);
+  Dsg g(l.ch, l.io);
   EXPECT_TRUE(g.has_cycle(kWW));
   EXPECT_FALSE(g.find_cycle(kWW).empty());
   EXPECT_FALSE(g.has_cycle(kWR));
@@ -266,7 +287,8 @@ TEST(Dsg, FindCycleWithExactlyOneAntiDependency) {
                   .begin(1, 0).read(1, 0, 0).write(1, 0).commit(1, 10)
                   .begin(2, 1).read(2, 0, 0).write(2, 0).commit(2, 11)
                   .build();
-  Dsg g(h);
+  const Lifted l(h);
+  Dsg g(l.ch, l.io);
   const std::vector<TxnId> cycle = g.find_cycle_with_exactly_one(kRW, kDependency);
   ASSERT_EQ(cycle.size(), 2u);
   // The rw edge T2 -rw-> T1 leads; T1 -ww-> T2 closes.
@@ -285,7 +307,7 @@ struct PerEdgeSearch {
   const Dsg& g;
   std::vector<std::vector<std::size_t>> out;  // edge indices by source, in edge order
 
-  explicit PerEdgeSearch(const Dsg& dsg) : g(dsg), out(dsg.size()) {
+  explicit PerEdgeSearch(const Dsg& dsg) : g(dsg), out(dsg.node_count()) {
     for (std::size_t i = 0; i < g.edges().size(); ++i) {
       out[g.edges()[i].from].push_back(i);
     }
@@ -294,7 +316,7 @@ struct PerEdgeSearch {
   /// BFS parents from `from` (-1 = unreached), stopping once `to` is reached.
   std::vector<std::ptrdiff_t> bfs(std::size_t from, std::size_t to,
                                   std::uint8_t mask) const {
-    std::vector<std::ptrdiff_t> parent(g.size(), -1);
+    std::vector<std::ptrdiff_t> parent(g.node_count(), -1);
     std::deque<std::size_t> queue{from};
     parent[from] = static_cast<std::ptrdiff_t>(from);
     while (!queue.empty() && parent[to] == -1) {
@@ -316,10 +338,12 @@ struct PerEdgeSearch {
       if (start.kind != single) continue;
       const std::vector<std::ptrdiff_t> parent = bfs(start.to, start.from, others);
       if (parent[start.from] == -1) continue;
+      // Time-chain nodes are not transactions: a cycle lists only the
+      // transactions it passes through.
       std::vector<TxnId> cycle;
       for (std::size_t node = start.from; node != start.to;
            node = static_cast<std::size_t>(parent[node])) {
-        cycle.push_back(g.id_of(node));
+        if (!g.is_time_node(node)) cycle.push_back(g.id_of(node));
       }
       cycle.push_back(g.id_of(start.to));
       std::reverse(cycle.begin(), cycle.end());
@@ -385,9 +409,10 @@ TEST(Dsg, ComponentPrefilterMatchesPerEdgeSearch) {
   std::map<std::string, std::pair<int, int>> seen;  // (with cycle, without)
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const History h = random_history(seed, 3 + seed % 22, 2 + seed % 5);
-    Dsg dsg(h);
-    Dsg ssg(h);
-    ASSERT_TRUE(ssg.add_start_edges(h));
+    const Lifted l(h);
+    const Dsg dsg(l.ch, l.io);
+    Dsg ssg = dsg;
+    ASSERT_TRUE(ssg.add_start_edges(l.ch));
     for (const Shape& sh : shapes) {
       const Dsg& g = sh.ssg ? ssg : dsg;
       const PerEdgeSearch oracle(g);
@@ -403,6 +428,162 @@ TEST(Dsg, ComponentPrefilterMatchesPerEdgeSearch) {
     EXPECT_GT(seen[sh.name].first, 20) << sh.name << " " << seen[sh.name].second;
     EXPECT_GT(seen[sh.name].second, 20) << sh.name << " " << seen[sh.name].first;
   }
+}
+
+// --- Time chain: start-dependency / real-time edges in O(n) ------------------
+
+/// Is transaction node `to` reachable from transaction node `from` over the
+/// edges in `mask` (time nodes included)?
+bool reaches(const Dsg& g, std::size_t from, std::size_t to, std::uint8_t mask) {
+  std::vector<char> seen(g.node_count(), 0);
+  std::vector<std::size_t> stack;
+  for (const Arc& a : g.out_edges(from)) {
+    if ((a.kind & mask) != 0 && !seen[a.to]) seen[a.to] = 1, stack.push_back(a.to);
+  }
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    if (u == to) return true;
+    for (const Arc& a : g.out_edges(u)) {
+      if ((a.kind & mask) != 0 && !seen[a.to]) seen[a.to] = 1, stack.push_back(a.to);
+    }
+  }
+  return false;
+}
+
+/// Observations compiled with no version order beyond single writers.
+struct Compiled {
+  explicit Compiled(std::vector<model::Transaction> t)
+      : txns(std::move(t)), ch(txns), io(compile_install_orders(ch, nullptr)) {}
+  model::TransactionSet txns;
+  model::CompiledHistory ch;
+  InstallOrders io;
+};
+
+TEST(TimeChain, EqualCommitAndStartGiveNoPath) {
+  // commit(T1) == start(T2): not real-time ordered, in either edge kind.
+  const Compiled c({model::TxnBuilder(1).write(0).at(0, 5).build(),
+                    model::TxnBuilder(2).write(1).at(5, 9).build(),
+                    model::TxnBuilder(3).write(2).at(6, 7).build()});
+  for (bool sd : {true, false}) {
+    Dsg g(c.ch, c.io);
+    ASSERT_TRUE(sd ? g.add_start_edges(c.ch) : g.add_realtime_edges(c.ch));
+    const std::uint8_t kind = sd ? kSD : kRT;
+    EXPECT_FALSE(reaches(g, 0, 1, kind));  // 5 < 5 is false
+    EXPECT_TRUE(reaches(g, 0, 2, kind));   // 5 < 6
+    EXPECT_FALSE(reaches(g, 1, 2, kind));  // 9 < 6 is false
+    EXPECT_FALSE(reaches(g, 2, 1, kind));  // 7 < 5 is false
+    EXPECT_EQ(g.size(), 3u);
+    EXPECT_GT(g.node_count(), g.size());
+  }
+}
+
+TEST(TimeChain, PointTransactionDoesNotReachItself) {
+  // start == commit is allowed and must not close a self-loop a → c_a ⇝ s_a → a.
+  const Compiled c({model::TxnBuilder(1).write(0).at(4, 4).build(),
+                    model::TxnBuilder(2).write(1).at(4, 4).build(),
+                    model::TxnBuilder(3).read(Key{0}, TxnId{0}).at(3, 8).build()});
+  Dsg g(c.ch, c.io);
+  ASSERT_TRUE(g.add_realtime_edges(c.ch));
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    EXPECT_FALSE(reaches(g, v, v, kRT)) << v;
+  }
+  EXPECT_FALSE(g.has_cycle(kRT));
+  EXPECT_TRUE(g.find_cycle(kRT).empty());
+}
+
+TEST(TimeChain, PartialTimestampsAddNothing) {
+  const Compiled c({model::TxnBuilder(1).write(0).at(0, 1).build(),
+                    model::TxnBuilder(2).write(1).build()});
+  Dsg g(c.ch, c.io);
+  const std::size_t edges = g.edges().size(), nodes = g.node_count();
+  EXPECT_FALSE(g.add_start_edges(c.ch));
+  EXPECT_FALSE(g.add_realtime_edges(c.ch));
+  EXPECT_EQ(g.edges().size(), edges);
+  EXPECT_EQ(g.node_count(), nodes);
+}
+
+TEST(TimeChain, ReachabilityIsTheRealTimeOrderInLinearEdges) {
+  // Over the chain's edges alone, a reaches b exactly when commit(a) <
+  // start(b) — the pairwise relation — with O(n) edges instead of its pairs.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const History h = random_history(seed, 3 + seed % 30, 2 + seed % 4);
+    const Lifted l(h);
+    Dsg g(l.ch, l.io);
+    const std::size_t before = g.edges().size();
+    ASSERT_TRUE(g.add_start_edges(l.ch));
+    EXPECT_LE(g.edges().size() - before, 3 * g.size()) << seed;
+    for (std::size_t a = 0; a < g.size(); ++a) {
+      for (std::size_t b = 0; b < g.size(); ++b) {
+        const auto da = static_cast<model::TxnIdx>(a), db = static_cast<model::TxnIdx>(b);
+        EXPECT_EQ(reaches(g, a, b, kSD), l.ch.commit_ts(da) < l.ch.start_ts(db))
+            << "seed " << seed << ": " << a << " -> " << b;
+      }
+    }
+  }
+}
+
+TEST(Differential, PhenomenaAndExplanationsMatchThePairwiseOracle) {
+  // Every Phenomena field (the timed ones included) equals the pairwise
+  // oracle's; every explanation names the oracle's phenomenon, and its cycle
+  // lists transactions only and holds in the oracle's pairwise graph. Byte
+  // equality of cycles is not required: the two graphs order edges apart.
+  std::map<std::string, int> named;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const History h = random_history(seed, 3 + seed % 22, 2 + seed % 5);
+    const Lifted l(h);
+    const Phenomena p = l.detect();
+    const Phenomena want = pairwise::detect(h);
+    ASSERT_EQ(p.to_string(), want.to_string()) << seed;
+    ASSERT_EQ(p.g_si_a, want.g_si_a) << seed;
+    ASSERT_EQ(p.g_si_b, want.g_si_b) << seed;
+    ASSERT_EQ(p.rt_cycle, want.rt_cycle) << seed;
+    for (IsolationLevel level : ct::kAllLevels) {
+      ASSERT_EQ(satisfies(detect(l.ch, l.io, level), level), satisfies(want, level))
+          << seed << " " << ct::name_of(level);
+      const std::string got = l.explain(level);
+      const std::string ref = pairwise::explain_violation(h, level);
+      ASSERT_EQ(got.empty(), ref.empty()) << seed << " " << ct::name_of(level);
+      if (got.empty()) continue;
+      const std::string phenomenon = pairwise::phenomenon_of(got);
+      ASSERT_EQ(phenomenon, pairwise::phenomenon_of(ref)) << got << " | " << ref;
+      ++named[phenomenon];
+      std::vector<TxnId> cycle;
+      ASSERT_NO_THROW(cycle = pairwise::cycle_of(got)) << got;
+      if (pairwise::cycle_of(ref).empty()) {
+        EXPECT_TRUE(cycle.empty()) << got;
+        continue;
+      }
+      EXPECT_TRUE(pairwise::cycle_holds(h, phenomenon, cycle))
+          << "seed " << seed << " " << ct::name_of(level) << ": " << got;
+    }
+  }
+  // The battery reaches every cycle-bearing explanation.
+  for (const char* name : {"G1c (circular information flow)",
+                           "G-Single (single anti-dependency cycle)",
+                           "G-SIb (missed effects)", "G2 (anti-dependency cycle)",
+                           "real-time violation"}) {
+    EXPECT_GT(named[name], 0) << name;
+  }
+}
+
+TEST(Differential, GSIbAndRealTimeCyclesCrossTheChainAsRealPairs) {
+  // Write skew with T2 starting after T1 commits on one key: the SSG cycle
+  // T1 -rw-> T2 ⇝ ... must render as transaction ids, each hop a DSG edge
+  // or commit < start, with exactly one rw edge for G-SIb.
+  const History h = HistoryBuilder()
+                        .begin(1, 0).read(1, 0, 0).write(1, 1).commit(1, 10)
+                        .begin(2, 20).read(2, 1, 0).write(2, 0).commit(2, 30)
+                        .build();
+  const Lifted l(h);
+  const std::string si = l.explain(IsolationLevel::kAnsiSI);
+  ASSERT_EQ(pairwise::phenomenon_of(si), "G-SIb (missed effects)") << si;
+  EXPECT_TRUE(pairwise::cycle_holds(h, "G-SIb", pairwise::cycle_of(si))) << si;
+  EXPECT_EQ(pairwise::cycle_of(si).size(), 2u) << si;
+  const std::string rt = l.explain(IsolationLevel::kStrictSerializable);
+  EXPECT_TRUE(pairwise::cycle_holds(h, pairwise::phenomenon_of(rt),
+                                    pairwise::cycle_of(rt)))
+      << rt;
 }
 
 // --- Version-order input contract ---------------------------------------------
@@ -436,7 +617,7 @@ TEST(History, RejectsWriterRepeatedInVersionOrder) {
                     +[](const model::TransactionSet& t, const model::CompiledHistory& c,
                         const std::unordered_map<Key, std::vector<TxnId>>& v) {
                       (void)c;
-                      from_observations(t, v);
+                      pairwise::from_observations(t, v);
                     }}) {
     try {
       path(obs, ch, vo);
@@ -499,7 +680,7 @@ TEST(Observations, FromObservationsInvertsToObservations) {
                   .begin(2, 12).read(2, 0, 1).write(2, 0).commit(2, 20)
                   .build();
   model::TransactionSet obs = to_observations(h);
-  History h2 = from_observations(obs, h.version_order());
+  History h2 = pairwise::from_observations(obs, h.version_order());
   const Phenomena p1 = detect(h);
   const Phenomena p2 = detect(h2);
   for (IsolationLevel l : ct::kAllLevels) {
@@ -510,20 +691,22 @@ TEST(Observations, FromObservationsInvertsToObservations) {
 TEST(Observations, FromObservationsRejectsAmbiguousMultiWriterKeys) {
   model::TransactionSet obs{{model::TxnBuilder(1).write(0).build(),
                              model::TxnBuilder(2).write(0).build()}};
-  EXPECT_THROW(from_observations(obs, {}), std::invalid_argument);
+  EXPECT_THROW(pairwise::from_observations(obs, {}), std::invalid_argument);
+  const model::CompiledHistory ch(obs);
+  EXPECT_THROW(compile_install_orders(ch, nullptr), std::invalid_argument);
 }
 
 TEST(Observations, FromObservationsPhantomBecomesG1b) {
   model::TransactionSet obs{
       {model::TxnBuilder(1).write(0).build(),
        model::TxnBuilder(2).read_intermediate(Key{0}, TxnId{1}).build()}};
-  History h = from_observations(obs, {});
+  History h = pairwise::from_observations(obs, {});
   EXPECT_TRUE(detect(h).g1b);
 }
 
 TEST(Observations, FromObservationsDanglingWriterBecomesG1a) {
   model::TransactionSet obs{{model::TxnBuilder(2).read(0, 77).build()}};
-  History h = from_observations(obs, {});
+  History h = pairwise::from_observations(obs, {});
   EXPECT_TRUE(detect(h).g1a);
 }
 

@@ -23,6 +23,7 @@
 #include "model/compiled.hpp"
 #include "store/runner.hpp"
 #include "workload/workload.hpp"
+#include "pairwise_oracle.hpp"
 
 namespace crooks {
 namespace {
@@ -34,6 +35,7 @@ using ct::IsolationLevel;
 using store::CCMode;
 using store::RunOptions;
 using store::RunResult;
+using adya::pairwise::Lifted;
 
 const CCMode kModes[] = {CCMode::kSerial,           CCMode::kTwoPhaseLocking,
                          CCMode::kWoundWait,        CCMode::kSnapshotIsolation,
@@ -89,7 +91,7 @@ TEST_P(StoreEquivalence, ModeSatisfiesItsContract) {
 TEST_P(StoreEquivalence, PhenomenaMatchCommitTests) {
   const auto [mode, seed] = GetParam();
   const RunResult r = small_run(mode, seed);
-  const adya::Phenomena p = adya::detect(r.history);
+  const adya::Phenomena p = Lifted(r.history).detect();
   CheckOptions opts;
   opts.version_order = &r.version_order;
 
@@ -102,6 +104,51 @@ TEST_P(StoreEquivalence, PhenomenaMatchCommitTests) {
         << store::name_of(mode) << " seed " << seed << " @ " << ct::name_of(level)
         << "\n  phenomena: " << p.to_string() << "\n  checker: " << cr.detail;
   }
+}
+
+/// The compiled Adya path against the pairwise oracle on the store's own
+/// history: every Phenomena field, every explanation (same phenomenon, a
+/// cycle the pairwise graph holds), and — when the run is strictly
+/// serializable — the graph engine's SSER witness, which must be the order
+/// the pairwise real-time graph yields.
+TEST_P(StoreEquivalence, CompiledAdyaMatchesPairwiseOracle) {
+  const auto [mode, seed] = GetParam();
+  const RunResult r = small_run(mode, seed);
+  const Lifted l(r.history);
+  const adya::Phenomena p = l.detect();
+  const adya::Phenomena want = adya::pairwise::detect(r.history);
+  ASSERT_EQ(p.to_string(), want.to_string());
+  ASSERT_EQ(p.g_si_a, want.g_si_a);
+  ASSERT_EQ(p.g_si_b, want.g_si_b);
+  ASSERT_EQ(p.rt_cycle, want.rt_cycle);
+  for (IsolationLevel level : ct::kAllLevels) {
+    const std::string got = l.explain(level);
+    const std::string ref = adya::pairwise::explain_violation(r.history, level);
+    ASSERT_EQ(got.empty(), ref.empty()) << ct::name_of(level);
+    if (got.empty()) continue;
+    const std::string phenomenon = adya::pairwise::phenomenon_of(got);
+    ASSERT_EQ(phenomenon, adya::pairwise::phenomenon_of(ref)) << got << " | " << ref;
+    if (adya::pairwise::cycle_of(ref).empty()) continue;
+    EXPECT_TRUE(adya::pairwise::cycle_holds(r.history, phenomenon,
+                                            adya::pairwise::cycle_of(got)))
+        << got;
+  }
+
+  if (adya::satisfies(want, IsolationLevel::kStrictSerializable) !=
+      adya::Verdict::kSatisfied) {
+    return;
+  }
+  CheckOptions opts;
+  opts.version_order = &r.version_order;
+  const CheckResult cr = checker::check_graph(IsolationLevel::kStrictSerializable, l.ch, opts);
+  ASSERT_TRUE(cr.satisfiable()) << cr.detail;
+  std::unordered_map<TxnId, Timestamp> commit;
+  for (const adya::HistTxn& t : r.history.txns()) commit[t.id] = t.commit_ts;
+  const std::vector<TxnId> pairwise_order = adya::pairwise::topo_order(
+      *adya::pairwise::with_time_pairs(r.history, adya::kRT), adya::kAllDsg | adya::kRT,
+      commit);
+  ASSERT_FALSE(pairwise_order.empty());
+  EXPECT_EQ(cr.witness->order(), pairwise_order);
 }
 
 /// The exhaustive oracle agrees with the fast engines on small runs.
@@ -175,13 +222,13 @@ bool some_seed(CCMode mode, Pred&& pred, std::size_t txns = 40, std::size_t keys
 
 TEST(StoreSeparation, ReadCommittedExhibitsLostUpdates) {
   EXPECT_TRUE(some_seed(CCMode::kReadCommitted, [](const RunResult& r) {
-    return adya::detect(r.history).g_single;
+    return Lifted(r.history).detect().g_single;
   }));
 }
 
 TEST(StoreSeparation, SnapshotIsolationExhibitsWriteSkew) {
   EXPECT_TRUE(some_seed(CCMode::kSnapshotIsolation, [](const RunResult& r) {
-    const adya::Phenomena p = adya::detect(r.history);
+    const adya::Phenomena p = Lifted(r.history).detect();
     return p.g2 && !p.g_single && !p.g1();
   }));
 }
@@ -189,32 +236,32 @@ TEST(StoreSeparation, SnapshotIsolationExhibitsWriteSkew) {
 TEST(StoreSeparation, ReadUncommittedExhibitsDirtyReads) {
   EXPECT_TRUE(some_seed(
       CCMode::kReadUncommitted,
-      [](const RunResult& r) { return adya::detect(r.history).g1a; },
+      [](const RunResult& r) { return Lifted(r.history).detect().g1a; },
       /*txns=*/40, /*keys=*/4, /*abort_prob=*/0.25));
 }
 
 TEST(StoreSeparation, ReadCommittedExhibitsFracturedReads) {
   EXPECT_TRUE(some_seed(CCMode::kReadCommitted, [](const RunResult& r) {
-    return adya::detect(r.history).fractured;
+    return Lifted(r.history).detect().fractured;
   }));
 }
 
 TEST(StoreSeparation, ReadAtomicNeverFractures) {
   EXPECT_FALSE(some_seed(CCMode::kReadAtomic, [](const RunResult& r) {
-    return adya::detect(r.history).fractured;
+    return Lifted(r.history).detect().fractured;
   }));
 }
 
 TEST(StoreSeparation, TwoPhaseLockingNeverExhibitsG2) {
   EXPECT_FALSE(some_seed(CCMode::kTwoPhaseLocking, [](const RunResult& r) {
-    const adya::Phenomena p = adya::detect(r.history);
+    const adya::Phenomena p = Lifted(r.history).detect();
     return p.g1() || p.g2;
   }));
 }
 
 TEST(StoreSeparation, WoundWaitNeverExhibitsG2) {
   EXPECT_FALSE(some_seed(CCMode::kWoundWait, [](const RunResult& r) {
-    const adya::Phenomena p = adya::detect(r.history);
+    const adya::Phenomena p = Lifted(r.history).detect();
     return p.g1() || p.g2;
   }));
 }
@@ -297,9 +344,10 @@ std::string error_of(const std::function<void()>& f) {
 }
 
 TEST(HotKeyInstallOrders, MatchTheHistoryPath) {
-  // Ranked install orders must reproduce the History path exactly: every
+  // Ranked install orders must reproduce the pairwise History oracle: every
   // phenomenon, every untimed level's verdict, and the graph engine's
-  // explanation (which renders the History path's cycle).
+  // explanation (the compiled explanation, naming the oracle's phenomenon
+  // with a cycle the oracle's graph holds).
   const IsolationLevel levels[] = {IsolationLevel::kReadUncommitted,
                                    IsolationLevel::kReadCommitted,
                                    IsolationLevel::kReadAtomic, IsolationLevel::kPSI,
@@ -315,9 +363,9 @@ TEST(HotKeyInstallOrders, MatchTheHistoryPath) {
     const model::CompiledHistory ch(hk.txns);
     ASSERT_GT(ch.writers_of(0).size(), 1000u);
     const adya::InstallOrders io = adya::compile_install_orders(ch, &hk.vo);
-    const adya::History h = adya::from_observations(hk.txns, hk.vo);
+    const adya::History h = adya::pairwise::from_observations(hk.txns, hk.vo);
     const adya::Phenomena compiled = adya::detect(ch, io);
-    const adya::Phenomena history = adya::detect(h);
+    const adya::Phenomena history = adya::pairwise::detect(h);
     ASSERT_EQ(history.to_string(), phenomena);
     ASSERT_EQ(compiled.to_string(), phenomena);
     CheckOptions opts;
@@ -329,9 +377,17 @@ TEST(HotKeyInstallOrders, MatchTheHistoryPath) {
       const CheckResult r = checker::check_graph(l, ch, opts);
       if (v == adya::Verdict::kViolated) {
         EXPECT_TRUE(r.unsatisfiable()) << ct::name_of(l);
-        EXPECT_EQ(r.detail, "under the system's install order: " +
-                                adya::explain_violation(h, l))
+        const std::string explained = adya::explain_violation(ch, io, l);
+        EXPECT_EQ(r.detail, "under the system's install order: " + explained)
             << ct::name_of(l);
+        const std::string ref = adya::pairwise::explain_violation(h, l);
+        const std::string phenomenon = adya::pairwise::phenomenon_of(explained);
+        EXPECT_EQ(phenomenon, adya::pairwise::phenomenon_of(ref)) << ct::name_of(l);
+        if (!adya::pairwise::cycle_of(ref).empty()) {
+          EXPECT_TRUE(adya::pairwise::cycle_holds(h, phenomenon,
+                                                  adya::pairwise::cycle_of(explained)))
+              << explained;
+        }
       } else {
         EXPECT_TRUE(r.satisfiable()) << ct::name_of(l) << ": " << r.detail;
       }
@@ -348,7 +404,8 @@ TEST(HotKeyInstallOrders, ErrorsMatchTheHistoryPath) {
   auto expect_same = [&](VersionOrder vo, const std::string& want) {
     const std::string compiled =
         error_of([&] { adya::compile_install_orders(ch, &vo); });
-    const std::string history = error_of([&] { adya::from_observations(hk.txns, vo); });
+    const std::string history =
+        error_of([&] { adya::pairwise::from_observations(hk.txns, vo); });
     EXPECT_EQ(compiled, want);
     EXPECT_EQ(history, want);
   };

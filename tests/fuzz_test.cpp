@@ -10,7 +10,9 @@
 //   * the online monitor agrees with the batch evaluator on any order,
 //   * serialization round-trips preserve verdicts,
 //   * budget- and thread-randomized runs never contradict the unbounded
-//     sequential oracle (kUnknown is the only allowed divergence).
+//     sequential oracle (kUnknown is the only allowed divergence),
+//   * the compiled Adya phenomena, explanations and SSER witness order
+//     match the test-only pairwise oracle.
 #include <gtest/gtest.h>
 
 #include "checker/checker.hpp"
@@ -20,6 +22,7 @@
 #include "model/analysis.hpp"
 #include "report/serialize.hpp"
 #include "workload/observations.hpp"
+#include "pairwise_oracle.hpp"
 
 namespace crooks {
 namespace {
@@ -80,6 +83,49 @@ TEST_P(Fuzz, GraphNeverContradictsOracle) {
     EXPECT_EQ(graph.outcome, oracle.outcome)
         << ct::name_of(level) << "\n graph:  " << graph.detail
         << "\n oracle: " << oracle.detail;
+  }
+}
+
+TEST_P(Fuzz, AdyaMatchesPairwiseOracle) {
+  // With and without timestamps: every Phenomena field equals the pairwise
+  // oracle's on the lifted history, every explanation names the oracle's
+  // phenomenon with a cycle the oracle's graph holds, and a strictly
+  // serializable history gets the witness order the pairwise real-time
+  // graph yields.
+  for (bool timestamps : {true, false}) {
+    const wl::FuzzedObservations f = make(timestamps);
+    const adya::pairwise::Lifted l(f.txns, f.version_order);
+    const adya::History h = adya::pairwise::from_observations(f.txns, f.version_order);
+    const adya::Phenomena p = l.detect();
+    const adya::Phenomena want = adya::pairwise::detect(h);
+    ASSERT_EQ(p.to_string(), want.to_string());
+    ASSERT_EQ(p.g_si_a, want.g_si_a);
+    ASSERT_EQ(p.g_si_b, want.g_si_b);
+    ASSERT_EQ(p.rt_cycle, want.rt_cycle);
+    for (IsolationLevel level : ct::kAllLevels) {
+      const std::string got = l.explain(level);
+      const std::string ref = adya::pairwise::explain_violation(h, level);
+      ASSERT_EQ(got.empty(), ref.empty()) << ct::name_of(level);
+      if (got.empty()) continue;
+      const std::string phenomenon = adya::pairwise::phenomenon_of(got);
+      ASSERT_EQ(phenomenon, adya::pairwise::phenomenon_of(ref)) << got << " | " << ref;
+      if (adya::pairwise::cycle_of(ref).empty()) continue;
+      EXPECT_TRUE(adya::pairwise::cycle_holds(h, phenomenon, adya::pairwise::cycle_of(got)))
+          << got;
+    }
+    if (adya::satisfies(want, IsolationLevel::kStrictSerializable) !=
+        adya::Verdict::kSatisfied) {
+      continue;
+    }
+    CheckOptions opts;
+    opts.version_order = &f.version_order;
+    const CheckResult r = checker::check_graph(IsolationLevel::kStrictSerializable, l.ch, opts);
+    ASSERT_TRUE(r.satisfiable()) << r.detail;
+    std::unordered_map<TxnId, Timestamp> commit;
+    for (const model::Transaction& t : f.txns) commit[t.id()] = t.commit_ts();
+    EXPECT_EQ(r.witness->order(),
+              adya::pairwise::topo_order(*adya::pairwise::with_time_pairs(h, adya::kRT),
+                                         adya::kAllDsg | adya::kRT, commit));
   }
 }
 

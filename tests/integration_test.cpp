@@ -88,8 +88,9 @@ TEST(Integration, PhenomenaAndCheckerAgreeAfterSerialization) {
   const report::Observations parsed = report::parse_observations(
       report::to_text({run.observations, run.version_order, std::nullopt}));
 
-  const adya::History h = adya::from_observations(parsed.txns, parsed.version_order);
-  const adya::Phenomena p = adya::detect(h);
+  const model::CompiledHistory ch(parsed.txns);
+  const adya::Phenomena p =
+      adya::detect(ch, adya::compile_install_orders(ch, &parsed.version_order));
   checker::CheckOptions opts;
   opts.version_order = &parsed.version_order;
   for (ct::IsolationLevel level : ct::kAllLevels) {

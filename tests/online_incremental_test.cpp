@@ -2,15 +2,17 @@
 //
 // Three oracles pin the incremental paths down:
 //  * a grown CompiledHistory must be structurally identical to compiling the
-//    final set fresh — every field an engine can observe, including the lazy
-//    adjacency whether it is built at the end or extended block by block;
+//    final set fresh — every field an engine can observe, including the
+//    commit-sorted order the real-time frontiers read;
 //  * OnlineChecker under any interleaving of append()/append_all() must agree
 //    per level (ok, first violation, explanation text) with the frozen hashed
 //    monitor checker::reference::OnlineCheckerHashed fed one txn at a time,
 //    and with a fresh OnlineChecker fed everything at once — while its
 //    hashed-fallback tripwire stays at zero;
 //  * check_incremental / check_batch prefix chains must reproduce the
-//    verdicts of independent check() calls on each prefix.
+//    verdicts of independent check() calls on each prefix — at the timed
+//    levels too, where a later block may bring real-time predecessors of
+//    transactions already appended.
 // Inputs are store-generated apply orders (real system behaviour) and fuzzed
 // adversarial observations (dangling writers, phantoms, mixed timestamps).
 // The final test tails a growing file through report::stream_audit with a
@@ -174,17 +176,6 @@ void expect_structurally_equal(const CompiledHistory& a, const CompiledHistory& 
   EXPECT_EQ(a.ts_order(), b.ts_order());
 }
 
-void expect_adjacency_equal(const CompiledHistory& a, const CompiledHistory& b) {
-  const auto& x = a.adjacency();
-  const auto& y = b.adjacency();
-  EXPECT_EQ(x.by_commit, y.by_commit);
-  EXPECT_EQ(x.by_start, y.by_start);
-  EXPECT_EQ(x.rt_preds.rows, y.rt_preds.rows);
-  EXPECT_EQ(x.rt_succs.rows, y.rt_succs.rows);
-  EXPECT_EQ(x.sess_preds.rows, y.sess_preds.rows);
-  EXPECT_EQ(x.sess_succs.rows, y.sess_succs.rows);
-}
-
 TEST(CompiledDelta, GrownHistoryMatchesFreshCompile) {
   std::mt19937_64 rng(1234);
   for (const std::vector<Transaction>& all : interesting_streams()) {
@@ -202,27 +193,36 @@ TEST(CompiledDelta, GrownHistoryMatchesFreshCompile) {
         prev = cut;
       }
       expect_structurally_equal(fresh, grown);
-      expect_adjacency_equal(fresh, grown);
     }
   }
 }
 
-TEST(CompiledDelta, AdjacencyExtendedInPlaceMatchesFreshBuild) {
-  std::mt19937_64 rng(99);
-  for (const std::vector<Transaction>& all : interesting_streams()) {
-    const TransactionSet whole{std::vector<Transaction>(all)};
-    const CompiledHistory fresh(whole);
-    CompiledHistory grown;
-    std::size_t prev = 0;
-    for (std::size_t cut : random_cuts(all.size(), 5, rng)) {
-      grown.extend(std::span<const Transaction>(all.data() + prev, cut - prev));
-      prev = cut;
-      // Materialize after every block: later extends must update the rows in
-      // place (extend_adjacency), not just invalidate them.
-      (void)grown.adjacency();
-    }
-    expect_adjacency_equal(fresh, grown);
+TEST(CompiledDelta, RejectsStartAfterCommit) {
+  // A transaction that commits before it starts would real-time-precede
+  // itself. Both construction modes reject it in the parser's words, and a
+  // rejected block leaves a growable history untouched.
+  const Transaction bad = TxnBuilder(7).write(Key{0}).at(9, 4).build();
+  const std::string want = "T7: " + model::inverted_timestamps_message(9, 4);
+  const TransactionSet set{{TxnBuilder(1).write(Key{1}).at(0, 1).build(), bad}};
+  try {
+    const CompiledHistory ch(set);
+    FAIL() << "inverted timestamps accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), want);
   }
+  CompiledHistory grown;
+  grown.extend(TxnBuilder(1).write(Key{1}).at(0, 1).build());
+  const std::vector<Transaction> block{TxnBuilder(2).write(Key{2}).at(2, 3).build(), bad};
+  try {
+    grown.extend(std::span<const Transaction>(block));
+    FAIL() << "inverted timestamps accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+  EXPECT_EQ(grown.size(), 1u);
+  EXPECT_EQ(grown.ts_order().size(), 1u);
+  // start == commit is a point interval, not an inversion.
+  EXPECT_NO_THROW(grown.extend(TxnBuilder(3).write(Key{3}).at(5, 5).build()));
 }
 
 TEST(CompiledDelta, LateWriterResolvedAcrossBlocks) {
@@ -455,6 +455,73 @@ TEST(CheckIncremental, MatchesIndependentPrefixChecks) {
   std::vector<TransactionSet> dup = {blocks[0], blocks[0]};
   EXPECT_THROW(check_incremental(ct::IsolationLevel::kReadAtomic, dup, opts),
                std::invalid_argument);
+}
+
+/// A serial read-latest history delivered newest first: every block brings
+/// real-time *predecessors* (commit(new) < start(old)) of transactions
+/// already appended, in two sessions.
+std::vector<Transaction> late_predecessor_stream(std::size_t n) {
+  std::vector<Transaction> in_time;
+  std::vector<TxnId> last(3, kInitTxn);
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    const auto t = static_cast<Timestamp>(10 * i);
+    in_time.push_back(TxnBuilder(i)
+                          .read(Key{(i + 1) % 3}, last[(i + 1) % 3])
+                          .write(Key{i % 3})
+                          .session(SessionId{static_cast<std::uint32_t>(i % 2)})
+                          .at(t, t + 5)
+                          .build());
+    last[i % 3] = TxnId{i};
+  }
+  return {in_time.rbegin(), in_time.rend()};
+}
+
+TEST(CheckIncremental, TimedLevelsMatchFreshChecksOnEveryPrefix) {
+  // The exhaustive engine's real-time / session readiness is a frontier
+  // over the commit-sorted order, read fresh on every check: a grown
+  // history must give the verdict, witness and node count of compiling each
+  // prefix from scratch — also when later blocks carry earlier transactions.
+  std::vector<std::vector<Transaction>> streams = interesting_streams();
+  streams.push_back(late_predecessor_stream(9));
+  {
+    const std::vector<Transaction>& late = streams.back();
+    bool has_late = false;
+    for (std::size_t a = 0; a < late.size(); ++a) {
+      for (std::size_t b = 0; b < a; ++b) has_late |= time_precedes(late[a], late[b]);
+    }
+    ASSERT_TRUE(has_late);
+  }
+  std::mt19937_64 rng(99);
+  CheckOptions opts;
+  opts.threads = 1;
+  opts.engine = EngineSelect::kExhaustive;
+  opts.max_nodes = 4000;
+  for (const std::vector<Transaction>& all : streams) {
+    std::vector<TransactionSet> blocks;
+    std::vector<TransactionSet> prefixes;
+    std::size_t prev = 0;
+    for (std::size_t cut : random_cuts(all.size(), 5, rng)) {
+      blocks.emplace_back(std::vector<Transaction>(all.begin() + prev, all.begin() + cut));
+      prefixes.emplace_back(std::vector<Transaction>(all.begin(), all.begin() + cut));
+      prev = cut;
+    }
+    for (ct::IsolationLevel level :
+         {ct::IsolationLevel::kStrongSI, ct::IsolationLevel::kSessionSI,
+          ct::IsolationLevel::kStrictSerializable}) {
+      const std::vector<CheckResult> inc = check_incremental(level, blocks, opts);
+      ASSERT_EQ(inc.size(), blocks.size());
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const CheckResult lone = check(level, prefixes[i], opts);
+        EXPECT_EQ(inc[i].outcome, lone.outcome) << ct::name_of(level) << " prefix " << i;
+        EXPECT_EQ(inc[i].nodes_explored, lone.nodes_explored)
+            << ct::name_of(level) << " prefix " << i;
+        EXPECT_EQ(inc[i].witness.has_value(), lone.witness.has_value());
+        if (inc[i].witness.has_value() && lone.witness.has_value()) {
+          EXPECT_EQ(inc[i].witness->order(), lone.witness->order());
+        }
+      }
+    }
+  }
 }
 
 TEST(CheckBatch, PrefixChainsMatchIndependentChecks) {

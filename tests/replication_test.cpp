@@ -57,8 +57,8 @@ TEST(Simulator, AsynchronyEventuallyViolatesSerializability) {
     SimOptions o = small_options(seed);
     o.keys = 40;  // contention makes forks likely
     const SimResult r = simulate(o);
-    adya::History h = adya::from_observations(r.observations, r.version_order);
-    found = adya::detect(h).g2;
+    const model::CompiledHistory ch(r.observations);
+    found = adya::detect(ch, adya::compile_install_orders(ch, &r.version_order)).g2;
   }
   EXPECT_TRUE(found);
 }

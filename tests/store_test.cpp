@@ -6,6 +6,7 @@
 #include "store/runner.hpp"
 #include "store/store.hpp"
 #include "workload/workload.hpp"
+#include "pairwise_oracle.hpp"
 
 namespace crooks::store {
 namespace {
@@ -176,7 +177,7 @@ TEST(Store, ReadUncommittedSeesDirtyWrites) {
   s.abort(t1);                                 // the writer dies
   ASSERT_EQ(s.commit(t2), StepStatus::kOk);
   // The exported history shows G1a.
-  EXPECT_TRUE(adya::detect(s.history()).g1a);
+  EXPECT_TRUE(adya::pairwise::Lifted(s.history()).detect().g1a);
 }
 
 TEST(Store, ReadUncommittedAbortedWritesInvisibleToLaterReads) {
@@ -203,7 +204,7 @@ TEST(Store, ReadAtomicRepairsFracturedReads) {
   EXPECT_EQ(s.read(reader, kY).value.writer, writer);  // after: fresh y
   ASSERT_EQ(s.commit(reader), StepStatus::kOk);        // repair upgrades x
 
-  const adya::Phenomena p = adya::detect(s.history());
+  const adya::Phenomena p = adya::pairwise::Lifted(s.history()).detect();
   EXPECT_FALSE(p.fractured);
   // The exported observation of the reader has the *repaired* x.
   const model::TransactionSet obs = s.observations();
@@ -220,7 +221,7 @@ TEST(Store, ReadCommittedDoesFracture) {
   ASSERT_EQ(s.commit(writer), StepStatus::kOk);
   EXPECT_EQ(s.read(reader, kY).value.writer, writer);
   ASSERT_EQ(s.commit(reader), StepStatus::kOk);
-  EXPECT_TRUE(adya::detect(s.history()).fractured);
+  EXPECT_TRUE(adya::pairwise::Lifted(s.history()).detect().fractured);
 }
 
 TEST(Store, HistoryExportRequiresQuiescence) {
